@@ -61,7 +61,7 @@ for mode in ("sharp", "paper-bound"):
 #    Gaussian potential alone, so the residual never grows with k.
 # ---------------------------------------------------------------------------
 for k in (0, 3, 7):
-    report = soliton.verify_gaussian_product(F, cert, k)
+    report = soliton.verify_gaussian_product(summary, cert, k)
     print(f"product with R^{k}: soliton residual {report.residual:.3e}")
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ unimodularity, mean-curvature vector, Killing form).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ class MetricLieAlgebra:
     dim: int
     brackets: tuple[tuple[int, int, int, float], ...]
     metric: np.ndarray
+    hints: dict = field(default_factory=dict)
 
     @property
     def structure_tensor(self) -> np.ndarray:
@@ -100,8 +102,9 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
     """Parse a .alg document (JSON) into a MetricLieAlgebra.
 
     Keys: name (text), dim (integer), brackets (list of [i, j, k, value]
-    with i < j, 1-based), metric (optional n x n row-major symmetric
-    matrix), hints (optional, e.g. {"lambda": -1.0}).
+    with integer indices i < j, 1-based, and finite values), metric
+    (optional n x n row-major symmetric matrix of finite numbers), hints
+    (optional object, e.g. {"lambda": -1.0} with a finite number).
     """
     try:
         doc = json.loads(text)
@@ -109,43 +112,53 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
         raise AlgebraFormatError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise AlgebraFormatError("document must be a JSON object")
-    try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise AlgebraFormatError("missing or non-integer 'dim'") from None
+    n = _integer(doc.get("dim"), "'dim'")
     if n < 1 or n > MAX_DIM:
         raise AlgebraFormatError(f"dim must be in 1..{MAX_DIM}, got {n}")
     name = str(doc.get("name", "unnamed"))
 
+    raw_entries = doc.get("brackets", [])
+    if not isinstance(raw_entries, list):
+        raise AlgebraFormatError("'brackets' must be a list")
     entries: list[tuple[int, int, int, float]] = []
     seen: set[tuple[int, int, int]] = set()
-    for raw in doc.get("brackets", []):
-        try:
-            i, j, k = int(raw[0]), int(raw[1]), int(raw[2])
-            v = float(raw[3])
-        except (TypeError, ValueError, IndexError):
-            raise AlgebraFormatError(f"malformed bracket entry {raw!r}") from None
+    for raw in raw_entries:
+        what = f"bracket entry {raw!r}"
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise AlgebraFormatError(f"malformed {what}")
+        i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
+        v = _finite(raw[3], f"value in {what}")
         for idx in (i, j, k):
             if idx < 1 or idx > n:
                 raise AlgebraFormatError(
-                    f"index out of range in bracket entry {raw!r}: {idx} not in 1..{n}"
+                    f"index out of range in {what}: {idx} not in 1..{n}"
                 )
         if i >= j:
-            raise AlgebraFormatError(f"bracket entry {raw!r} must have i < j")
+            raise AlgebraFormatError(f"{what} must have i < j")
         if (i, j, k) in seen:
             raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
         seen.add((i, j, k))
         entries.append((i, j, k, v))
 
-    if "metric" in doc and doc["metric"] is not None:
-        G = np.asarray(doc["metric"], dtype=float)
-        if G.shape != (n, n):
+    if doc.get("metric") is not None:
+        try:
+            G = np.asarray(doc["metric"], dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            G = None
+        if G is None or G.shape != (n, n):
             raise AlgebraFormatError(f"metric must be {n}x{n}")
+        if not np.all(np.isfinite(G)):
+            raise AlgebraFormatError("'metric' entries must be finite")
         _check_metric(G)
     else:
         G = np.eye(n)
 
-    return MetricLieAlgebra(name=name, dim=n, brackets=tuple(entries), metric=G)
+    hints = doc.get("hints") or {}
+    if not isinstance(hints, dict):
+        raise AlgebraFormatError("'hints' must be a JSON object")
+    if hints.get("lambda") is not None:
+        hints = {**hints, "lambda": _finite(hints["lambda"], "hints.lambda")}
+    return MetricLieAlgebra(name=name, dim=n, brackets=tuple(entries), metric=G, hints=hints)
 
 
 def load_algebra(path) -> MetricLieAlgebra:
@@ -154,23 +167,30 @@ def load_algebra(path) -> MetricLieAlgebra:
 
 
 def algebra_hints(text: str) -> dict:
-    """Extract the optional hints object from a .alg document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return {}
-    hints = doc.get("hints", {}) if isinstance(doc, dict) else {}
-    return hints if isinstance(hints, dict) else {}
+    """The optional hints object of a .alg document, validated."""
+    return parse_algebra(text).hints
+
+
+def _integer(value, what: str) -> int:
+    # JSON true is an int to Python, and int() would truncate 3.7 to 3
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise AlgebraFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    # the bound also rejects NaN, and integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise AlgebraFormatError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def jacobi_residual(beta: np.ndarray) -> float:
     """Max-norm of [[x,y],z] + [[y,z],x] + [[z,x],y] over basis triples."""
-    jac = (
-        np.einsum("ijp,pkm->ijkm", beta, beta)
-        + np.einsum("jkp,pim->ijkm", beta, beta)
-        + np.einsum("kip,pjm->ijkm", beta, beta)
-    )
-    return float(np.max(np.abs(jac))) if jac.size else 0.0
+    return worst_jacobi_triple(beta)[3]
 
 
 def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
@@ -189,6 +209,15 @@ def validate_algebra(L) -> AlgebraDiagnostics:
     """Jacobi-identity diagnostics for a metric Lie algebra or frame."""
     res = jacobi_residual(L.bracket_tensor)
     return AlgebraDiagnostics(jacobi_residual=res, ok=res <= JACOBI_TOL)
+
+
+def require_jacobi(L) -> None:
+    """Raise AlgebraFormatError naming the worst triple when Jacobi fails."""
+    if not validate_algebra(L).ok:
+        i, j, k, res = worst_jacobi_triple(L.bracket_tensor)
+        raise AlgebraFormatError(
+            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): residual {res:.3e}"
+        )
 
 
 def orthonormal_frame(L: MetricLieAlgebra) -> FramedAlgebra:

@@ -17,11 +17,9 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import algebra, curvature, flow, soliton, stability
 from .errors import NotExpanding, SolstabError
@@ -46,9 +44,7 @@ class AnalysisRecord:
 
     @property
     def verdict(self) -> str:
-        if not self.certificate.accepted:
-            return "not-a-soliton"
-        if self.report is None:
+        if self.report is None:  # set exactly when the certificate is accepted
             return "not-a-soliton"
         checks = [self.report.q_verdict]
         if self.report.max_Ro is not None:
@@ -60,6 +56,30 @@ class AnalysisRecord:
         return "unstable"
 
 
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    t0 = time.perf_counter()
+    yield
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _certify(path, timings: dict[str, float]):
+    """Parse, validate and frame one .alg file; return the frame, its curvature
+    summary and its soliton certificate.  Every command starts with this stage."""
+    with _stage(timings, "parse"):
+        L = algebra.parse_algebra(Path(path).read_text(encoding="utf-8"))
+        algebra.require_jacobi(L)
+    with _stage(timings, "curvature"):
+        F = algebra.orthonormal_frame(L)
+        summary = curvature.curvature_summary(F)
+    with _stage(timings, "soliton"):
+        ders = algebra.derivation_basis(F)
+        cert = soliton.solve_algebraic_soliton(
+            F, summary, ders, lambda_hint=L.hints.get("lambda")
+        )
+    return F, summary, cert
+
+
 def analyze_file(
     path,
     extend: bool = False,
@@ -68,43 +88,21 @@ def analyze_file(
 ) -> AnalysisRecord:
     """Run the full analysis pipeline on one .alg file."""
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    text = Path(path).read_text(encoding="utf-8")
-    L = algebra.parse_algebra(text)
-    hints = algebra.algebra_hints(text)
-    diag = algebra.validate_algebra(L)
-    if not diag.ok:
-        i, j, k, res = algebra.worst_jacobi_triple(L.bracket_tensor)
-        raise algebra.AlgebraFormatError(
-            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): residual {res:.3e}"
-        )
-    timings["parse"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    F = algebra.orthonormal_frame(L)
-    summary = curvature.curvature_summary(F)
-    profile = algebra.structure_profile(F)
-    timings["curvature"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ders = algebra.derivation_basis(F)
-    lam_hint = hints.get("lambda")
-    cert = soliton.solve_algebraic_soliton(F, summary, ders, lambda_hint=lam_hint)
-    timings["soliton"] = time.perf_counter() - t0
+    F, summary, cert = _certify(path, timings)
+    with _stage(timings, "curvature"):
+        profile = algebra.structure_profile(F)
 
     report = None
     gaussian_plan = None
     gaussian_residual = None
     if cert.accepted:
-        t0 = time.perf_counter()
-        ext_summary = None
-        if extend and _extension_possible(cert):
-            ext = soliton.rank_one_extension(F, cert)
-            ext_summary = curvature.curvature_summary(algebra.orthonormal_frame(ext))
-        report = stability.stability_report(F, summary, cert, ext_summary)
-        timings["stability"] = time.perf_counter() - t0
+        with _stage(timings, "stability"):
+            ext_summary = None
+            if extend and soliton.extension_obstruction(cert) is None:
+                ext_summary = soliton.rank_one_extension(F, cert).summary
+            report = stability.stability_report(F, summary, cert, ext_summary)
         if gaussian_mode is not None:
-            plan = soliton.gaussian_extension_dimension(
+            gaussian_plan = soliton.gaussian_extension_dimension(
                 summary,
                 summary.riemann,
                 cert,
@@ -112,27 +110,18 @@ def analyze_file(
                 mode=gaussian_mode,
                 ignore_stability=ignore_stability,
             )
-            gaussian_plan = plan
-            gaussian_residual = soliton.verify_gaussian_product(F, cert, plan.k).residual
+            gaussian_residual = soliton.verify_gaussian_product(
+                summary, cert, gaussian_plan.k
+            ).residual
 
     return AnalysisRecord(
-        name=L.name,
+        name=F.name,
         profile=profile,
         certificate=cert,
         report=report,
         gaussian_plan=gaussian_plan,
         gaussian_residual=gaussian_residual,
         timings=timings,
-    )
-
-
-def _extension_possible(cert: soliton.SolitonCertificate) -> bool:
-    D = cert.derivation
-    return (
-        cert.lam < 0
-        and cert.trace_D > 0
-        and np.max(np.abs(D - D.T)) <= soliton.CERT_TOL
-        and np.linalg.eigvalsh(0.5 * (D + D.T)).min() >= -soliton.CERT_TOL
     )
 
 
@@ -232,16 +221,12 @@ def _render_csv(rows: list[list[str]]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rec = analyze_file(
-            args.path,
-            extend=args.extend,
-            gaussian_mode=_mode(args.mode) if args.gaussian else None,
-            ignore_stability=args.ignore_stability,
-        )
-    except (SolstabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    rec = analyze_file(
+        args.path,
+        extend=args.extend,
+        gaussian_mode=_mode(args.mode) if args.gaussian else None,
+        ignore_stability=args.ignore_stability,
+    )
     if args.format == "json":
         print(json.dumps(record_json(rec), indent=2))
     elif args.format == "csv":
@@ -268,16 +253,12 @@ def cmd_table(args) -> int:
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    files = sorted(root.glob("*.alg"))
-
-    def run(path):
+    rows = []
+    for path in sorted(root.glob("*.alg")):
         try:
-            return record_row(analyze_file(path, extend=True))
+            rows.append(record_row(analyze_file(path, extend=True)))
         except (SolstabError, OSError) as exc:
-            return [path.stem, "", "", "", "", f"error: {exc}", "", ""]
-
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(run, files))
+            rows.append([path.stem, "", "", "", "", f"error: {exc}", "", ""])
     if args.format == "csv":
         print(_render_csv(rows))
     else:
@@ -286,24 +267,21 @@ def cmd_table(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    try:
-        rec, F = _certified(args.path)
-    except (SolstabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    cert = rec.certificate
+    F, _, cert = _certify(args.path, {})
     if not cert.accepted:
-        print(
-            f"not a soliton: residual {cert.residual:.3e}", file=sys.stderr
-        )
+        print(f"not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
         return EXIT_NOT_SOLITON
     if cert.lam >= 0:
         print(f"not expanding: λ={cert.lam:g}", file=sys.stderr)
         return EXIT_NOT_SOLITON
-    config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
-    trials = flow.perturbation_experiment(
-        F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
-    )
+    try:
+        config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
+        trials = flow.perturbation_experiment(
+            F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
+        )
+    except ValueError as exc:  # out-of-range flow arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     ok = True
     for t in trials:
         print(
@@ -326,9 +304,6 @@ def cmd_gaussian(args) -> int:
     except NotExpanding as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SOLITON
-    except (SolstabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     if rec.gaussian_plan is None:
         print(
             f"not a soliton: residual {rec.certificate.residual:.3e}",
@@ -343,21 +318,6 @@ def cmd_gaussian(args) -> int:
     print(f"bracket value at k: {p.bracket_value_at_k:.9g}")
     print(f"product soliton residual: {rec.gaussian_residual:.3e}")
     return EXIT_STABLE
-
-
-def _certified(path):
-    text = Path(path).read_text(encoding="utf-8")
-    L = algebra.parse_algebra(text)
-    hints = algebra.algebra_hints(text)
-    diag = algebra.validate_algebra(L)
-    if not diag.ok:
-        i, j, k, res = algebra.worst_jacobi_triple(L.bracket_tensor)
-        raise algebra.AlgebraFormatError(
-            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): residual {res:.3e}"
-        )
-    F = algebra.orthonormal_frame(L)
-    rec = analyze_file(path)
-    return rec, F
 
 
 def _mode(mode: str) -> str:
@@ -405,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SolstabError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

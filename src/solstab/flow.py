@@ -33,10 +33,11 @@ class FlowConfig:
     sample_every: int = 10  # record a trace sample every this many steps
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
+        # negated comparisons also reject NaN
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt:g}")
+        if not 0 <= self.t_max < np.inf:
+            raise ValueError(f"t_max must be non-negative and finite, got {self.t_max:g}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class FlowState:
 @dataclass(frozen=True)
 class FlowTrace:
     samples: list[tuple[float, float, float, float]]
-    # entries: (t, soliton_residual, distance_to_reference, rhs_norm)
+    # entries: (t, soliton_residual, distance_to_G0, rhs_norm)
     final: FlowState
 
 
@@ -89,8 +90,7 @@ def _rhs(beta, G, lam, D):
 
 def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
     """||Ric(G) - lambda G - (G D + D^T G)/2|| / ||G|| in max norm."""
-    r = ricci_of_metric(L.bracket_tensor, G) - lam * G - 0.5 * (G @ D + D.T @ G)
-    return float(np.max(np.abs(r)) / np.max(np.abs(G)))
+    return float(_batch_residual(L.bracket_tensor, G, lam, D))
 
 
 def _batch_residual(beta, G, lam, D):
@@ -101,45 +101,17 @@ def _batch_residual(beta, G, lam, D):
 def _check_state(G, config):
     if np.max(np.abs(G)) > config.norm_threshold:
         raise Blowup(f"metric norm exceeded {config.norm_threshold:g}")
-    w = np.linalg.eigvalsh(G)
+    w = np.linalg.eigvalsh(G)  # ascending, per metric of a stack
     if np.min(w) <= 0:
         raise PositivityLost("metric lost positive definiteness")
-    if np.max(w) / np.min(w) > config.cond_threshold:
+    if np.max(w[..., -1] / w[..., 0]) > config.cond_threshold:
         raise PositivityLost("metric condition number exceeded threshold")
 
 
-def integrate_flow(
-    L,
-    G0: np.ndarray,
-    lam: float,
-    D: np.ndarray,
-    config: FlowConfig | None = None,
-    reference: np.ndarray | None = None,
-) -> FlowTrace:
-    """Integrate the flow from G0, sampling residuals along the way."""
-    config = config or FlowConfig()
-    beta = L.bracket_tensor
-    G = np.array(G0, dtype=float)
-    ref = G0 if reference is None else reference
-    _check_state(G, config)
-
+def _sampled_steps(beta, G, lam, D, config):
+    """RK4 from G, yielding (t, G) checked every sample_every steps and at the end."""
     dt = config.dt
     n_steps = int(round(config.t_max / dt))
-    samples = []
-
-    def record(step, Gs):
-        t = step * dt
-        rhs = _rhs(beta, Gs, lam, D)
-        samples.append(
-            (
-                t,
-                soliton_residual(L, Gs, lam, D),
-                float(np.linalg.norm(Gs - ref)),
-                float(np.max(np.abs(rhs))),
-            )
-        )
-
-    record(0, G)
     for step in range(1, n_steps + 1):
         k1 = _rhs(beta, G, lam, D)
         k2 = _rhs(beta, G + 0.5 * dt * k1, lam, D)
@@ -148,8 +120,36 @@ def integrate_flow(
         G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % config.sample_every == 0 or step == n_steps:
             _check_state(G, config)
-            record(step, G)
-    return FlowTrace(samples=samples, final=FlowState(t=n_steps * dt, G=G))
+            yield step * dt, G
+
+
+def integrate_flow(
+    L,
+    G0: np.ndarray,
+    lam: float,
+    D: np.ndarray,
+    config: FlowConfig | None = None,
+) -> FlowTrace:
+    """Integrate the flow from G0, sampling residuals and the distance to G0."""
+    config = config or FlowConfig()
+    beta = L.bracket_tensor
+    G = np.array(G0, dtype=float)
+    _check_state(G, config)
+
+    def sample(t, Gs):
+        rhs = _rhs(beta, Gs, lam, D)
+        return (
+            t,
+            float(_batch_residual(beta, Gs, lam, D)),
+            float(np.linalg.norm(Gs - G0)),
+            float(np.max(np.abs(rhs))),
+        )
+
+    t = 0.0
+    samples = [sample(t, G)]
+    for t, G in _sampled_steps(beta, G, lam, D, config):
+        samples.append(sample(t, G))
+    return FlowTrace(samples=samples, final=FlowState(t=t, G=G))
 
 
 def random_unit_sym(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -179,36 +179,25 @@ def perturbation_experiment(
         raise ValueError("certificate not accepted")
     if cert.lam >= 0:
         raise NotExpanding(f"not expanding: lambda={cert.lam:g}")
-    if eps > 1e-2:
-        raise ValueError("eps must be at most 1e-2")
+    if not eps <= 1e-2:
+        raise ValueError(f"eps must be at most 1e-2, got {eps:g}")
+    if n_trials < 1:
+        raise ValueError(f"trials must be at least 1, got {n_trials}")
     config = config or FlowConfig()
     beta = F.bracket_tensor
-    n = F.dim
     lam, D = cert.lam, cert.derivation
 
     rng = np.random.default_rng(seed)
-    H = random_unit_sym(rng, n, n_trials)
-    G = np.eye(n) + eps * H
+    G = np.eye(F.dim) + eps * random_unit_sym(rng, F.dim, n_trials)
 
-    dt = config.dt
-    n_steps = int(round(config.t_max / dt))
     initial = _batch_residual(beta, G, lam, D)
-    prev = initial.copy()
+    final = initial
     violations = np.zeros(n_trials, dtype=int)
-    for step in range(1, n_steps + 1):
-        k1 = _rhs(beta, G, lam, D)
-        k2 = _rhs(beta, G + 0.5 * dt * k1, lam, D)
-        k3 = _rhs(beta, G + 0.5 * dt * k2, lam, D)
-        k4 = _rhs(beta, G + dt * k3, lam, D)
-        G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % config.sample_every == 0 or step == n_steps:
-            if np.max(np.abs(G)) > config.norm_threshold:
-                raise Blowup(f"metric norm exceeded {config.norm_threshold:g}")
-            cur = _batch_residual(beta, G, lam, D)
-            # tiny floor: residuals at integrator precision jitter freely
-            violations += (cur > prev + 1e-13).astype(int)
-            prev = cur
-    final = prev
+    for _, G in _sampled_steps(beta, G, lam, D, config):
+        cur = _batch_residual(beta, G, lam, D)
+        # tiny floor: residuals at integrator precision jitter freely
+        violations += (cur > final + 1e-13).astype(int)
+        final = cur
     return [
         TrialReport(
             trial=i,

@@ -33,8 +33,7 @@ class SolitonCertificate:
     lam: float
     derivation: np.ndarray
     residual: float
-    trace_D: float
-    div_X: float  # equals trace_D for algebraic solitons
+    trace_D: float  # also div X, the divergence of the soliton field
     accepted: bool
     degenerate: bool  # identity lies in span(Der): lambda fixed by min-norm
     expanding: bool
@@ -96,9 +95,7 @@ def solve_algebraic_soliton(
         lam = float(lambda_hint)
         target = (ric - lam * np.eye(n)).ravel()
         if ders:
-            coef, *_ = np.linalg.lstsq(
-                np.column_stack([d.ravel() for d in ders]), target, rcond=None
-            )
+            coef, *_ = np.linalg.lstsq(Ad, target, rcond=None)
             D = sum(c * d for c, d in zip(coef, ders))
         else:
             D = np.zeros((n, n))
@@ -114,7 +111,6 @@ def solve_algebraic_soliton(
         derivation=D,
         residual=residual,
         trace_D=trace_D,
-        div_X=trace_D,
         accepted=residual <= CERT_TOL,
         degenerate=degenerate,
         expanding=lam < 0,
@@ -129,25 +125,43 @@ def check_einstein(summary: CurvatureSummary) -> EinsteinCertificate:
     return EinsteinCertificate(lam=lam, residual=residual, accepted=residual <= CERT_TOL)
 
 
-def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> MetricLieAlgebra:
+@dataclass(frozen=True, kw_only=True)
+class EinsteinExtension(MetricLieAlgebra):
+    """A rank-one extension with the curvature summary that verified it Einstein."""
+
+    summary: CurvatureSummary
+
+
+def extension_obstruction(cert: SolitonCertificate) -> str | None:
+    """Why ``cert`` admits no rank-one Einstein extension, or None if it does."""
+    D = cert.derivation
+    if not cert.accepted:
+        return "certificate not accepted (residual too large)"
+    if cert.lam >= 0:
+        return f"extension requires lambda < 0, got {cert.lam}"
+    if cert.trace_D <= 0:
+        return f"extension requires tr D > 0, got {cert.trace_D}"
+    if np.max(np.abs(D - D.T)) > CERT_TOL:
+        return "extension requires a symmetric derivation"
+    if np.linalg.eigvalsh(0.5 * (D + D.T)).min() < -CERT_TOL:
+        return "extension requires D positive semidefinite"
+    return None
+
+
+def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> EinsteinExtension:
     """One-dimensional solvable extension s = span(A) + n with ad A = alpha D.
 
     alpha = sqrt(-lambda / tr D^2) is the unique scaling making the
     extension Einstein with the same lambda; this is verified a posteriori
-    via the curvature pipeline rather than trusted.
+    via the curvature pipeline rather than trusted, and the verified
+    curvature summary is returned with the extension.  Raises ValueError
+    when ``extension_obstruction(cert)`` names a reason.
     """
-    if not cert.accepted:
-        raise ValueError("certificate not accepted (residual too large)")
-    if cert.lam >= 0:
-        raise ValueError(f"extension requires lambda < 0, got {cert.lam}")
-    if cert.trace_D <= 0:
-        raise ValueError(f"extension requires tr D > 0, got {cert.trace_D}")
-    D = cert.derivation
-    if np.max(np.abs(D - D.T)) > CERT_TOL:
-        raise ValueError("extension requires a symmetric derivation")
-    if np.linalg.eigvalsh(0.5 * (D + D.T)).min() < -CERT_TOL:
-        raise ValueError("extension requires D positive semidefinite")
+    reason = extension_obstruction(cert)
+    if reason is not None:
+        raise ValueError(reason)
 
+    D = cert.derivation
     n = F.dim
     alpha = float(np.sqrt(-cert.lam / np.trace(D @ D)))
     entries: list[tuple[int, int, int, float]] = []
@@ -167,14 +181,14 @@ def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> MetricLieA
         brackets=tuple(entries),
         metric=np.eye(n + 1),
     )
-
-    ecert = check_einstein(curvature_summary(orthonormal_frame(ext)))
+    summary = curvature_summary(orthonormal_frame(ext))
+    ecert = check_einstein(summary)
     if not ecert.accepted or abs(ecert.lam - cert.lam) > CERT_TOL:
         raise EinsteinVerificationFailed(
             f"extension is not Einstein at lambda={cert.lam}: "
             f"residual {ecert.residual:.3e}, lambda {ecert.lam}"
         )
-    return ext
+    return EinsteinExtension(**vars(ext), summary=summary)
 
 
 def crude_curvature_bound(riemann: RiemannTensor, ric: np.ndarray) -> float:
@@ -205,7 +219,7 @@ def gaussian_extension_dimension(
     except k = 0 when the algebraic stability test already passes.  In
     paper-bound mode C1 is the crude curvature bound and
     C2 = (|scal| + n|lambda|)/2; in sharp mode C1 = max(stability_max_q, 0)
-    and C2 = |div X| / 2.
+    and C2 = |div X| / 2 = |tr D| / 2.
     """
     if cert.lam >= 0:
         raise NotExpanding(f"not expanding: lambda={cert.lam:g}")
@@ -218,7 +232,7 @@ def gaussian_extension_dimension(
         C2 = (abs(summary.scal) + n * abs(lam)) / 2.0
     else:
         C1 = max(stability_max_q, 0.0)
-        C2 = abs(cert.div_X) / 2.0
+        C2 = abs(cert.trace_D) / 2.0
 
     already_stable = (not ignore_stability) and stability_max_q < 0.5 * cert.trace_D
     if already_stable:
@@ -238,19 +252,19 @@ def gaussian_extension_dimension(
 
 
 def verify_gaussian_product(
-    F: FramedAlgebra, cert: SolitonCertificate, k: int
+    summary: CurvatureSummary, cert: SolitonCertificate, k: int
 ) -> GaussianProductReport:
     """Residual of the soliton equation on the product with k flat directions.
 
-    The product Ricci is block-diagonal (Ric_M, 0) and the right side is
-    block-diagonal (lambda I + D, lambda I + Hess f) with Hess f =
-    -lambda I on the flat factor, so the flat block cancels identically and
-    the residual equals the certificate residual.
+    ``summary`` is the curvature of the base.  The product Ricci is
+    block-diagonal (Ric_M, 0) and the right side is block-diagonal
+    (lambda I + D, lambda I + Hess f) with Hess f = -lambda I on the flat
+    factor, so the flat block cancels identically and the residual equals
+    the certificate residual.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = F.dim
-    summary = curvature_summary(F)
+    n = summary.dim
     m = n + k
     ric_prod = np.zeros((m, m))
     ric_prod[:n, :n] = summary.ric
@@ -271,10 +285,12 @@ def nilsoliton_identity_residual(cert: SolitonCertificate) -> float:
 __all__ = [
     "SolitonCertificate",
     "EinsteinCertificate",
+    "EinsteinExtension",
     "GaussianExtensionPlan",
     "GaussianProductReport",
     "solve_algebraic_soliton",
     "check_einstein",
+    "extension_obstruction",
     "rank_one_extension",
     "crude_curvature_bound",
     "gaussian_extension_dimension",

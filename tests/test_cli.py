@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from solstab import catalog
+from solstab import algebra, catalog, curvature, flow, soliton, stability
+from solstab.errors import AlgebraFormatError
 from solstab.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_SOLITON,
@@ -222,3 +223,93 @@ def test_degenerate_abelian_uses_hint(capsys):
     assert doc["lambda"] == pytest.approx(-1.0)
     assert doc["degenerate"] is True
     assert doc["verdict"] == "stable"
+
+
+H3 = {"dim": 3, "brackets": [[1, 2, 3, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"hints": {"lambda": "abc"}}, "hints.lambda"),
+        ({"hints": {"lambda": float("nan")}}, "hints.lambda"),
+        ({"hints": {"lambda": float("inf")}}, "hints.lambda"),
+        ({"brackets": [[1, 2, 3, float("nan")]]}, "bracket entry [1, 2, 3, nan]"),
+        ({"brackets": [[1, 2, 3, float("-inf")]]}, "bracket entry [1, 2, 3, -inf]"),
+        ({"metric": [[1, 0, 0], [0, float("nan"), 0], [0, 0, 1]]}, "'metric'"),
+        ({"dim": 3.7}, "'dim'"),
+        ({"dim": True}, "'dim'"),
+        ({"brackets": [[True, 2, 3, 1.0]]}, "bracket entry [True, 2, 3, 1.0]"),
+    ],
+    ids=["lambda-text", "lambda-nan", "lambda-inf", "bracket-nan", "bracket-inf",
+         "metric-nan", "dim-fraction", "dim-true", "index-true"],
+)
+def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
+    text = json.dumps({**H3, **change})  # NaN and Infinity as Python's json writes them
+    with pytest.raises(AlgebraFormatError) as info:
+        algebra.parse_algebra(text)
+    assert named in str(info.value)
+
+    (tmp_path / "bad.alg").write_text(text)
+    code, out, err = run(capsys, "analyze", str(tmp_path / "bad.alg"))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+    write_alg(tmp_path, "good", H3)
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    assert code == EXIT_STABLE
+    rows = out.strip().splitlines()[1:]
+    assert rows[0].startswith("bad ") and "error: " in rows[0] and named in rows[0]
+    assert "0.569" in rows[1]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--eps", "0.1"], "eps"),
+        (["--dt", "0"], "dt"),
+        (["--t-max", "-1"], "t_max"),
+        (["--trials", "0"], "trials"),
+        (["--trials", "-1"], "trials"),
+    ],
+    ids=["eps-large", "dt-zero", "t-max-negative", "trials-zero", "trials-negative"],
+)
+def test_flow_bad_argument_is_input_error(capsys, args, named):
+    code, out, err = run(capsys, "flow", cat("heisenberg3"), *args)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, attribute) in a counter; all share one tally."""
+    tally = {"calls": 0}
+    for module, attr in targets:
+        original = getattr(module, attr)
+
+        def counted(*args, _original=original, **kwargs):
+            tally["calls"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    return tally
+
+
+def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
+    decodes = _count_calls(monkeypatch, (json, "loads"))
+    summaries = _count_calls(
+        monkeypatch, (curvature, "curvature_summary"), (soliton, "curvature_summary")
+    )
+    code, _, _ = run(capsys, "analyze", cat("heisenberg3"), "--extend", "--gaussian")
+    assert code == EXIT_STABLE
+    assert summaries["calls"] == 2  # the base and its Einstein extension
+    assert decodes["calls"] == 1
+
+    decodes["calls"] = 0
+    eigen = _count_calls(monkeypatch, (stability, "jacobi_eigenvalues"))
+    ricci = _count_calls(monkeypatch, (flow, "ricci_of_metric"))
+    code, _, _ = run(capsys, "flow", cat("heisenberg5"), "--t-max", "0.05", "--trials", "2")
+    assert code == EXIT_STABLE
+    assert decodes["calls"] == 1
+    assert eigen["calls"] == 0
+    steps, samples = 50, 5
+    assert ricci["calls"] == 4 * steps + samples + 1

@@ -22,7 +22,6 @@ def test_h3_certificate():
     assert np.allclose(cert.derivation, np.diag([1.0, 1.0, 2.0]), atol=1e-10)
     assert cert.residual <= 1e-12
     assert cert.trace_D == pytest.approx(4.0, abs=1e-10)
-    assert cert.div_X == cert.trace_D
     assert cert.expanding
     assert not cert.degenerate
 
@@ -77,6 +76,7 @@ def test_check_einstein():
 
 def test_rank_one_extension_h3():
     F, _, cert = certify("heisenberg3")
+    assert soliton.extension_obstruction(cert) is None
     ext = soliton.rank_one_extension(F, cert)
     assert ext.dim == 4
     got = {(i, j, k): v for i, j, k, v in ext.brackets}
@@ -84,11 +84,11 @@ def test_rank_one_extension_h3():
     assert got[(1, 4, 1)] == pytest.approx(-0.5)  # [A, e1] = e1 / 2
     assert got[(2, 4, 2)] == pytest.approx(-0.5)
     assert got[(3, 4, 3)] == pytest.approx(-1.0)
-    ecert = soliton.check_einstein(
-        curvature.curvature_summary(algebra.orthonormal_frame(ext))
-    )
+    summary = curvature.curvature_summary(algebra.orthonormal_frame(ext))
+    ecert = soliton.check_einstein(summary)
     assert ecert.accepted
     assert ecert.lam == pytest.approx(-1.5, abs=1e-8)
+    assert np.array_equal(ext.summary.riemann.R, summary.riemann.R)  # handed on
 
 
 def test_rank_one_extension_abelian_gives_hyperbolic_space():
@@ -104,7 +104,9 @@ def test_rank_one_extension_abelian_gives_hyperbolic_space():
 
 def test_rank_one_extension_rejects_zero_trace():
     F, _, cert = certify("su2")
-    with pytest.raises(ValueError):
+    reason = soliton.extension_obstruction(cert)
+    assert "lambda < 0" in reason
+    with pytest.raises(ValueError, match=reason):
         soliton.rank_one_extension(F, cert)
 
 
@@ -218,16 +220,16 @@ def test_gaussian_monotone_under_metric_rescaling():
 
 
 def test_verify_gaussian_product():
-    F, _, cert = certify("heisenberg3")
-    r3 = soliton.verify_gaussian_product(F, cert, 3).residual
-    r0 = soliton.verify_gaussian_product(F, cert, 0).residual
-    r7 = soliton.verify_gaussian_product(F, cert, 7).residual
+    _, summary, cert = certify("heisenberg3")
+    r3 = soliton.verify_gaussian_product(summary, cert, 3).residual
+    r0 = soliton.verify_gaussian_product(summary, cert, 0).residual
+    r7 = soliton.verify_gaussian_product(summary, cert, 7).residual
     assert r3 <= cert.residual + 1e-12
     assert r0 == pytest.approx(cert.residual, abs=1e-15)
     assert abs(r7 - r0) <= 1e-12  # flat factor contributes exactly zero
 
-    Fa, _, certa = certify("abelian3", lambda_hint=-1.0)
-    assert soliton.verify_gaussian_product(Fa, certa, 5).residual == 0.0
+    _, summarya, certa = certify("abelian3", lambda_hint=-1.0)
+    assert soliton.verify_gaussian_product(summarya, certa, 5).residual == 0.0
 
 
 def test_certificate_basis_covariance(rng):
