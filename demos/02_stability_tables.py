@@ -4,8 +4,8 @@ For a soliton Ric = lambda I + D, strict linear stability is certified by
 max q(h) < tr(D)/2 over unit symmetric 2-tensors, where
 q(h) = <Ro h + Ric o h, h>.  For the rank-one Einstein extension the
 criterion is max <Ro h, h> < -lambda.  This demo builds both forms, takes
-top eigenvalues with the deterministic Jacobi solver, and prints the same
-rows the ``solstab table`` command produces.
+their top eigenvalues (LAPACK eigvalsh), and prints the same rows the
+``solstab table`` command produces.
 """
 
 import numpy as np

@@ -265,7 +265,9 @@ def derivation_basis(L) -> list[np.ndarray]:
     if not rows:
         return [np.eye(1)] if n == 1 else []
     A = np.array(rows)
-    _, s, vh = np.linalg.svd(A)
+    # vh must be square to hold the whole null space; only for n = 2 are
+    # there fewer constraint rows than unknowns, so only then is U square too
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     cutoff = RANK_TOL * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return [vh[r].reshape(n, n) for r in range(rank, n * n)]

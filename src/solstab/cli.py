@@ -150,7 +150,7 @@ def record_row(rec: AnalysisRecord) -> list[str]:
                 f"(residual {rec.certificate.residual:.3e})", "", ""]
     return [
         rec.name,
-        str(r.step),
+        str(rec.profile.step),
         _fmt_exact(r.lam),
         _fmt_exact(r.trace_D),
         _fmt3(r.max_q),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FramedAlgebra
-from .errors import ContractionMismatch
+from .errors import AlgebraFormatError, ContractionMismatch
 
 CROSS_CHECK_TOL = 1e-10
 
@@ -108,14 +108,24 @@ def ricci_closed_form(F: FramedAlgebra) -> np.ndarray:
 def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:
     """Assemble Ricci, scalar curvature, and the Riemann tensor.
 
-    Raises ContractionMismatch when the closed-form Ricci and the Riemann
+    Raises AlgebraFormatError when a curvature quantity is not finite, and
+    ContractionMismatch when the closed-form Ricci and the Riemann
     contraction sum_i R[i,j,k,i] disagree beyond CROSS_CHECK_TOL.
     """
-    gamma = _gamma(F.c)
-    R = _riemann(F.c, gamma)
-    ric = _ricci_closed(F.c)
-    contracted = np.einsum("ijki->jk", R)
-    residual = float(np.max(np.abs(ric - contracted)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        gamma = _gamma(F.c)
+        R = _riemann(F.c, gamma)
+        ric = _ricci_closed(F.c)
+        contracted = np.einsum("ijki->jk", R)
+        residual = float(np.max(np.abs(ric - contracted)))
+    # a NaN residual would pass the comparison below and reach a verdict
+    for quantity, value in (("Riemann tensor", R), ("Ricci tensor", ric),
+                            ("cross-check residual", residual)):
+        if not np.all(np.isfinite(value)):
+            raise AlgebraFormatError(
+                f"curvature stage: {quantity} is not finite "
+                "(structure constants out of floating-point range)"
+            )
     if residual > CROSS_CHECK_TOL:
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"

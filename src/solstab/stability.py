@@ -5,8 +5,8 @@ q(h) = <Ro h + Ric o h, h> with (Ro h)_ij = R[i,p,q,j] h[p,q] and
 Ric = lambda I + D is certified strictly linearly stable when
 max q < tr(D) / 2 over unit symmetric 2-tensors; for Einstein metrics the
 criterion is max <Ro h, h> < -lambda.  Maxima are top eigenvalues of the
-form's matrix in an orthonormal basis of Sym^2, computed by a deterministic
-cyclic Jacobi rotation solver so that table digits are reproducible.
+form's matrix in an orthonormal basis of Sym^2, computed by LAPACK eigvalsh;
+a margin within VERDICT_TIE of zero is inconclusive.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .soliton import SolitonCertificate
 # Strict inequalities at floating precision need an explicit dead zone:
 # margins within VERDICT_TIE of zero are reported as inconclusive (None).
 VERDICT_TIE = 1e-9
-
-JACOBI_OFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class StabilityReport:
     threshold: float  # tr(D) / 2
     q_margin: float
     q_verdict: bool | None  # None: |margin| within the tie dead zone
-    step: int
     lam: float
     trace_D: float
     max_Ro: float | None = None
@@ -80,17 +77,19 @@ def sym2_basis(n: int) -> Sym2Basis:
 def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm:
     """Matrices of the stability form and its pure-curvature part.
 
-    S[a,b] = <Ro e_a + (Ric e_a + e_a Ric)/2, e_b>; the symmetrization of
-    the Ricci term leaves the quadratic form unchanged on symmetric h and
-    makes S symmetric.
+    With P the basis elements flattened to rows of length n^2 and an operator
+    M on n x n matrices written as an n^2 x n^2 matrix, the form's matrix is
+    P M P^T.  Ro[(i,j),(p,q)] = R[i,p,q,j]; the Ricci term is symmetrized to
+    (Ric h + h Ric)/2, which leaves the quadratic form unchanged on symmetric
+    h and makes S symmetric.
     """
-    R = summary.riemann.R
-    ric = summary.ric
-    E = basis.elements
-    Ro = np.einsum("ipqj,apq->aij", R, E)
-    Rich = 0.5 * (np.einsum("ik,akj->aij", ric, E) + np.einsum("aik,kj->aij", E, ric))
-    S = np.einsum("aij,bij->ab", Ro + Rich, E)
-    S_Ro = np.einsum("aij,bij->ab", Ro, E)
+    n = basis.n
+    P = basis.elements.reshape(basis.N, n * n)
+    Ro = summary.riemann.R.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    ric, eye = summary.ric, np.eye(n)
+    Rich = 0.5 * (np.kron(ric, eye) + np.kron(eye, ric.T))
+    S_Ro = P @ Ro @ P.T
+    S = S_Ro + P @ Rich @ P.T
     return StabilityForm(S=S, S_Ro=S_Ro)
 
 
@@ -103,62 +102,24 @@ def evaluate_q(summary: CurvatureSummary, h: np.ndarray) -> float:
     )
 
 
-def jacobi_eigenvalues(S: np.ndarray, off_tol: float = JACOBI_OFF_TOL) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, from LAPACK eigvalsh.
 
-    Sweeps run in a fixed row-major order until the off-diagonal Frobenius
-    norm is at most off_tol * ||S||_F, so results are deterministic across
-    runs and platforms.
+    Input that is not symmetric to 1e-8 relative raises NotSymmetric; the
+    solver sees the symmetrized matrix.  Agreement with the bisection oracle
+    is tested up to N = 136; platform differences in the last digits are
+    absorbed by the VERDICT_TIE dead zone, the one tie rule.  The name is
+    historical; the benchmark's tracer addresses the eigen-solve by it.
     """
     S = np.asarray(S, dtype=float)
-    N = S.shape[0]
     scale = float(np.linalg.norm(S))
     if np.max(np.abs(S - S.T)) > 1e-8 * max(scale, 1.0):
         raise NotSymmetric("matrix is not symmetric")
-    A = 0.5 * (S + S.T)
-    if scale == 0.0 or N == 1:
-        return np.sort(np.diag(A))
-    target = off_tol * scale
-    converged = False
-    for _ in range(100):
-        # norm of the off-diagonal part, computed directly: the subtraction
-        # ||A||^2 - sum(diag^2) cancels catastrophically near convergence
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= target:
-            converged = True
-            break
-        for p in range(N - 1):
-            for q in range(p + 1, N):
-                apq = A[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(diff) > 2e10 * abs(apq):
-                    t = apq / diff  # = 1/(2 theta) without overflow risk
-                elif diff == 0.0:
-                    t = 1.0
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-    if not converged:
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off > target:
-            raise ArithmeticError(
-                f"Jacobi sweeps did not reach off-diagonal tolerance: {off:g} > {target:g}"
-            )
-    return np.sort(np.diag(A))
+    return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
 def max_eigenvalue(S: np.ndarray) -> float:
-    """Largest eigenvalue via the cyclic Jacobi solver."""
+    """Largest eigenvalue of a symmetric matrix (see jacobi_eigenvalues)."""
     return float(jacobi_eigenvalues(S)[-1])
 
 
@@ -176,19 +137,13 @@ def stability_report(
 ) -> StabilityReport:
     """One table row: max q against tr(D)/2, and, when an extension summary
     is supplied, max Ro of the extension against -lambda."""
-    from .algebra import structure_profile
-
-    basis = sym2_basis(F.dim)
-    form = stability_form(summary, basis)
-    max_q = max_eigenvalue(form.S)
+    max_q = max_eigenvalue(stability_form(summary, sym2_basis(F.dim)).S)
     threshold = 0.5 * cert.trace_D
     q_margin = threshold - max_q
-    profile = structure_profile(F)
 
     max_Ro = einstein_threshold = Ro_margin = Ro_verdict = None
     if extension_summary is not None:
-        ext_basis = sym2_basis(extension_summary.dim)
-        ext_form = stability_form(extension_summary, ext_basis)
+        ext_form = stability_form(extension_summary, sym2_basis(extension_summary.dim))
         max_Ro = max_eigenvalue(ext_form.S_Ro)
         einstein_threshold = -cert.lam
         Ro_margin = einstein_threshold - max_Ro
@@ -199,7 +154,6 @@ def stability_report(
         threshold=threshold,
         q_margin=q_margin,
         q_verdict=_verdict(q_margin),
-        step=profile.step,
         lam=cert.lam,
         trace_D=cert.trace_D,
         max_Ro=max_Ro,

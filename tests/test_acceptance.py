@@ -135,7 +135,7 @@ def _table_rows(data_dir, expected):
         rec = analyze_file(path, extend=True)
         r = rec.report
         assert r is not None, f"row {idx}: not certified as a soliton"
-        assert r.step == step, f"row {idx}: step {r.step} != {step}"
+        assert rec.profile.step == step, f"row {idx}: step {rec.profile.step} != {step}"
         assert r.lam == pytest.approx(lam, abs=1e-6), f"row {idx}: lambda"
         assert r.trace_D == pytest.approx(trD, abs=1e-6), f"row {idx}: tr D"
         assert r.max_q == pytest.approx(max_q, abs=1e-3), f"row {idx}: max q"
@@ -238,8 +238,7 @@ def test_criterion_8_eigensolver(rng):
         n = int(rng.integers(2, 46))
         A = rng.standard_normal((n, n))
         S = A + A.T
-        # jacobi_eigenvalues raises unless the off-diagonal norm at
-        # termination is <= 1e-12 * ||S||_F, so returning implies it
+        # jacobi_eigenvalues is the routine every max q and max Ro comes from
         got = stability.jacobi_eigenvalues(S)
         want = bisection_eigenvalues(S)
         scale = max(1.0, float(np.max(np.abs(want))))

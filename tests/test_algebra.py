@@ -154,6 +154,16 @@ def test_derivation_basis_su2():
         assert algebra.derivation_residual(L, D) <= 1e-10
 
 
+def test_derivation_basis_affine_plane():
+    # [e1, e2] = e2 gives fewer constraint rows (2) than unknowns (4), so the
+    # null space must come from a full set of right singular vectors
+    L = algebra.parse_algebra(json.dumps({"dim": 2, "brackets": [[1, 2, 2, 1.0]]}))
+    basis = algebra.derivation_basis(L)
+    assert len(basis) == 2  # Der = ad(g) for this algebra
+    for D in basis:
+        assert algebra.derivation_residual(L, D) <= 1e-10
+
+
 def test_derivation_space_closed_under_commutator():
     for name in ("heisenberg3", "heisenberg5", "su2", "solv4"):
         L = catalog.load(name)

@@ -263,6 +263,24 @@ def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     assert "0.569" in rows[1]
 
 
+def test_non_finite_curvature_is_input_error(tmp_path, capsys):
+    # finite brackets whose curvature overflows: the cross-check residual is
+    # NaN, which no tolerance comparison rejects
+    path = write_alg(tmp_path, "huge", {"dim": 3, "brackets": [[1, 2, 3, 1e160]]})
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("error:")
+    assert "curvature" in err
+
+    write_alg(tmp_path, "h3", H3)
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    assert code == EXIT_STABLE
+    rows = out.strip().splitlines()[1:]
+    assert rows[1].startswith("huge ") and "error: " in rows[1]
+    assert "0.569" in rows[0]
+
+
 @pytest.mark.parametrize(
     "args, named",
     [
@@ -299,10 +317,12 @@ def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
     summaries = _count_calls(
         monkeypatch, (curvature, "curvature_summary"), (soliton, "curvature_summary")
     )
+    profiles = _count_calls(monkeypatch, (algebra, "structure_profile"))
     code, _, _ = run(capsys, "analyze", cat("heisenberg3"), "--extend", "--gaussian")
     assert code == EXIT_STABLE
     assert summaries["calls"] == 2  # the base and its Einstein extension
     assert decodes["calls"] == 1
+    assert profiles["calls"] == 1
 
     decodes["calls"] = 0
     eigen = _count_calls(monkeypatch, (stability, "jacobi_eigenvalues"))

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from solstab import algebra, curvature, soliton, stability
 
 from conftest import conjugate_framed, framed, random_orthogonal, summary_of
-from oracles import brute_force_max_q, direct_q
+from oracles import bisection_eigenvalues, brute_force_max_q, direct_q
 
 # Frozen oracle outputs (brute-force sampling + power-iteration refinement),
 # pinned here so regressions surface as exact-value diffs.
@@ -131,7 +133,7 @@ def test_stability_report_h3():
     ext = soliton.rank_one_extension(F, cert)
     ext_summary = curvature.curvature_summary(algebra.orthonormal_frame(ext))
     rep = stability.stability_report(F, summary, cert, ext_summary)
-    assert rep.step == 2
+    assert algebra.structure_profile(F).step == 2
     assert rep.lam == pytest.approx(-1.5)
     assert rep.trace_D == pytest.approx(4.0)
     assert rep.max_q == pytest.approx(H3_MAX_Q, abs=1e-10)
@@ -140,6 +142,24 @@ def test_stability_report_h3():
     assert rep.max_Ro == pytest.approx(SOLV4_MAX_RO, abs=1e-10)
     assert rep.einstein_threshold == pytest.approx(1.5)
     assert rep.Ro_verdict is True
+
+
+def test_h15_extension_matches_bisection_oracle():
+    # the largest forms the pipeline builds: N = 120 on h15, N = 136 on its
+    # dim-16 rank-one extension
+    doc = {"dim": 15, "brackets": [[2 * i - 1, 2 * i, 15, 1.0] for i in range(1, 8)]}
+    F = algebra.orthonormal_frame(algebra.parse_algebra(json.dumps(doc)))
+    summary = curvature.curvature_summary(F)
+    cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+    ext_summary = soliton.rank_one_extension(F, cert).summary
+    rep = stability.stability_report(F, summary, cert, ext_summary)
+
+    S = stability.stability_form(summary, stability.sym2_basis(15)).S
+    S_Ro = stability.stability_form(ext_summary, stability.sym2_basis(16)).S_Ro
+    assert S.shape == (120, 120) and S_Ro.shape == (136, 136)
+    for got, matrix in ((rep.max_q, S), (rep.max_Ro, S_Ro)):
+        want = float(bisection_eigenvalues(matrix)[-1])
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_stability_report_without_extension():
