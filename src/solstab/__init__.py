@@ -11,13 +11,7 @@ from .algebra import (
     structure_profile,
     validate_algebra,
 )
-from .curvature import (
-    CurvatureSummary,
-    connection_coefficients,
-    curvature_summary,
-    ricci_closed_form,
-    riemann_tensor,
-)
+from .curvature import CurvatureSummary, curvature_summary
 from .flow import (
     FlowConfig,
     FlowTrace,

@@ -1,22 +1,23 @@
-"""Curvature of a left-invariant metric in an orthonormal frame.
+"""Curvature of a left-invariant metric.
 
-All formulas take the structure constants c[i,j,k] = <[e_i,e_j], e_k> of an
-orthonormal basis.  The connection comes from the Koszul formula
+The connection and the Riemann tensor take the structure constants
+c[i,j,k] = <[e_i,e_j], e_k> of an orthonormal basis.  The connection comes
+from the Koszul formula
 
     gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2,
 
-the Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z with R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>, and the Ricci
-endomorphism both in closed form and as the contraction sum_i R[i,j,k,i].
-The two Ricci routes are kept as a permanent runtime cross-check: the most
-likely bug class here is a sign or index error.
+and the Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
+- nabla_[X,Y] Z with R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>.  Ricci has one
+closed form, `ricci_tensor`, written in any basis through the inner product
+G and its inverse; the flow evaluates it on stacks of time-dependent
+metrics.  `curvature_summary` evaluates it at G = I in an orthonormal frame
+and checks it against the contraction sum_i R[i,j,k,i] on every call, so the
+formula the flow uses is cross-checked too: the most likely bug class here
+is a sign or index error.
 
 Sign calibration: the bi-invariant metric on su(2) has sectional curvature
 +1/4 and the Heisenberg algebra h3 has K(e1,e2) = -3/4, K(e1,e3) =
 K(e2,e3) = +1/4.
-
-The private helpers accept stacked inputs (leading batch axes); the flow
-module reuses them on time-dependent metrics.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ from .algebra import FramedAlgebra
 from .errors import AlgebraFormatError, ContractionMismatch
 
 CROSS_CHECK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """gamma[i,j,k] = <nabla_{e_i} e_j, e_k>."""
-
-    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,40 +63,35 @@ def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     )
 
 
-def _ricci_closed(c: np.ndarray) -> np.ndarray:
-    ad = np.einsum("...imk->...ikm", c)
-    traces = np.einsum("...ikk->...i", ad)  # coordinates of H
-    B = np.einsum("...ikm,...jmk->...ij", ad, ad)
-    U = np.einsum("...m,...mxy->...xy", traces, c)
-    UT = np.einsum("...xy->...yx", U)
-    return (
-        -0.5 * np.einsum("...xik,...yik->...xy", c, c)
-        + 0.25 * np.einsum("...ijx,...ijy->...xy", c, c)
-        - 0.5 * B
-        - 0.5 * (U + UT)
-    )
+def ricci_tensor(beta: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Ricci (0,2)-tensor of the inner product G in the basis of beta.
 
+    beta[i,j,m] are the bracket coefficients, [e_i, e_j] = beta[i,j,m] e_m,
+    and A = G^{-1}; G and A may carry leading batch axes.  This is Besse's
+    closed form (Einstein Manifolds, 7.38) with its sums over an orthonormal
+    basis contracted by A:
 
-def connection_coefficients(F: FramedAlgebra) -> ConnectionCoefficients:
-    """Levi-Civita connection coefficients of the left-invariant metric."""
-    return ConnectionCoefficients(gamma=_gamma(F.c))
+        Ric_xy = -1/2 A^ij beta_xim G_mn beta_yjn
+                 + 1/4 A^ip A^jq (beta G)_ijx (beta G)_pqy
+                 - 1/2 B_xy - 1/2 (U_xy + U_yx)
 
-
-def riemann_tensor(F: FramedAlgebra, gamma: ConnectionCoefficients) -> RiemannTensor:
-    return RiemannTensor(R=_riemann(F.c, gamma.gamma))
-
-
-def ricci_closed_form(F: FramedAlgebra) -> np.ndarray:
-    """Ricci endomorphism from the standard left-invariant closed form.
-
-    ric(X,Y) = -1/2 sum_i <[X,e_i],[Y,e_i]>
-               + 1/4 sum_{ij} <[e_i,e_j],X><[e_i,e_j],Y>
-               - 1/2 B(X,Y) - 1/2 (<[H,X],Y> + <[H,Y],X>)
-
-    with B the Killing form and H the mean-curvature vector.  The last two
-    terms vanish for nilpotent algebras.
+    with the Killing form B_xy = beta_xkm beta_ymk and U = (H^m beta_m..) G,
+    where H = A tau, tau_x = beta_xkk, is the mean-curvature vector.  The
+    last two terms vanish for nilpotent algebras.
     """
-    return _ricci_closed(F.c)
+    n = beta.shape[-1]
+    batch = G.shape[:-2]
+    rows = beta.reshape(n, n * n)
+    bG = (beta.reshape(n * n, n) @ G).reshape(*batch, n, n * n)  # <[e_i,e_j], e_x>
+    Ab = (A[..., None, :, :] @ beta).reshape(*batch, n, n * n)  # A^ij beta_yjn at [y,(i,n)]
+    first = bG @ np.swapaxes(Ab, -1, -2)
+    W = (A @ bG).reshape(*batch, n, n, n)  # A^pi (beta G)_ijx at [p,j,x]
+    V = (A[..., None, :, :] @ W).reshape(*batch, n * n, n)  # A^pi A^qj (beta G)_ijx
+    second = np.swapaxes(V, -1, -2) @ bG.reshape(*batch, n * n, n)
+    killing = rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T
+    H = A @ np.trace(beta, axis1=1, axis2=2)
+    U = (H @ rows).reshape(*batch, n, n) @ G
+    return -0.5 * first + 0.25 * second - 0.5 * killing - 0.5 * (U + np.swapaxes(U, -1, -2))
 
 
 def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:
@@ -115,7 +104,8 @@ def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gamma = _gamma(F.c)
         R = _riemann(F.c, gamma)
-        ric = _ricci_closed(F.c)
+        eye = np.eye(F.dim)
+        ric = ricci_tensor(F.c, eye, eye)
         contracted = np.einsum("ijki->jk", R)
         residual = float(np.max(np.abs(ric - contracted)))
     # a NaN residual would pass the comparison below and reach a verdict

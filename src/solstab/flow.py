@@ -2,12 +2,11 @@
 
 The flow is d/dt G = -2 Ric(G) + 2 lambda G + G D + D^T G on inner
 products G over a fixed Lie algebra basis; an algebraic soliton (lambda, D)
-is a stationary point.  Ricci under a general G is computed by factoring G,
-transforming the structure constants to a G-orthonormal frame, and reusing
-the orthonormal-frame closed form.  Integration is classical fixed-step
-fourth-order Runge-Kutta: stiffness is absent near stable fixed points at
-the perturbation sizes used here, and determinism is preferred over
-adaptive control.
+is a stationary point.  Ric(G) comes from the closed form in G and G^{-1}
+(`curvature.ricci_tensor`) in that fixed basis, with no change of frame.
+Integration is classical fixed-step fourth-order Runge-Kutta: stiffness is
+absent near stable fixed points at the perturbation sizes used here, and
+determinism is preferred over adaptive control.
 
 All helpers accept stacked metrics (leading batch axes), which is how
 independent perturbation trials run concurrently.
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import _ricci_closed
+from .curvature import ricci_tensor
 from .errors import Blowup, NotExpanding, PositivityLost
 from .soliton import SolitonCertificate
 
@@ -36,8 +35,13 @@ class FlowConfig:
         # negated comparisons also reject NaN
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt:g}")
-        if not 0 <= self.t_max < np.inf:
-            raise ValueError(f"t_max must be non-negative and finite, got {self.t_max:g}")
+        if not (0 <= self.t_max < np.inf and self.n_steps >= 1):
+            raise ValueError(f"t_max must be finite and give at least one step of "
+                             f"dt={self.dt:g}, got {self.t_max:g}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_max / self.dt))
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,10 @@ def ricci_of_metric(beta: np.ndarray, G: np.ndarray) -> np.ndarray:
     positive definite.
     """
     try:
-        low = np.linalg.cholesky(G)
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise PositivityLost("metric is not positive definite") from None
-    M = np.swapaxes(np.linalg.inv(low), -1, -2)
-    # orthonormal-frame structure constants; <old_m, new_c> = (G M)_{mc} = low_{mc}
-    c = np.einsum("...ia,...jb,ijm,...mc->...abc", M, M, beta, low, optimize=True)
-    ric_frame = _ricci_closed(c)
-    return low @ ric_frame @ np.swapaxes(low, -1, -2)
+    return ricci_tensor(beta, G, np.linalg.inv(G))
 
 
 def flow_rhs(L, G: np.ndarray, lam: float, D: np.ndarray) -> np.ndarray:
@@ -84,8 +84,13 @@ def flow_rhs(L, G: np.ndarray, lam: float, D: np.ndarray) -> np.ndarray:
     return _rhs(L.bracket_tensor, G, lam, D)
 
 
+def _defect(beta, G, lam, D):
+    """Ric(G) - lambda G - (G D + D^T G)/2, which is -1/2 the flow's right-hand side."""
+    return ricci_of_metric(beta, G) - lam * G - 0.5 * (G @ D + D.T @ G)
+
+
 def _rhs(beta, G, lam, D):
-    return -2.0 * ricci_of_metric(beta, G) + 2.0 * lam * G + G @ D + D.T @ G
+    return -2.0 * _defect(beta, G, lam, D)
 
 
 def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
@@ -94,8 +99,11 @@ def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
 
 
 def _batch_residual(beta, G, lam, D):
-    r = ricci_of_metric(beta, G) - lam * G - 0.5 * (G @ D + D.T @ G)
-    return np.max(np.abs(r), axis=(-2, -1)) / np.max(np.abs(G), axis=(-2, -1))
+    return _relative(_defect(beta, G, lam, D), G)
+
+
+def _relative(defect, G):
+    return np.max(np.abs(defect), axis=(-2, -1)) / np.max(np.abs(G), axis=(-2, -1))
 
 
 def _check_state(G, config):
@@ -111,7 +119,7 @@ def _check_state(G, config):
 def _sampled_steps(beta, G, lam, D, config):
     """RK4 from G, yielding (t, G) checked every sample_every steps and at the end."""
     dt = config.dt
-    n_steps = int(round(config.t_max / dt))
+    n_steps = config.n_steps
     for step in range(1, n_steps + 1):
         k1 = _rhs(beta, G, lam, D)
         k2 = _rhs(beta, G + 0.5 * dt * k1, lam, D)
@@ -137,12 +145,12 @@ def integrate_flow(
     _check_state(G, config)
 
     def sample(t, Gs):
-        rhs = _rhs(beta, Gs, lam, D)
+        defect = _defect(beta, Gs, lam, D)  # the right-hand side is -2 defect
         return (
             t,
-            float(_batch_residual(beta, Gs, lam, D)),
+            float(_relative(defect, Gs)),
             float(np.linalg.norm(Gs - G0)),
-            float(np.max(np.abs(rhs))),
+            2.0 * float(np.max(np.abs(defect))),
         )
 
     t = 0.0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,12 @@ def framed(name):
 
 def summary_of(name):
     return curvature.curvature_summary(framed(name))
+
+
+def heisenberg15():
+    """The Heisenberg algebra h15: [e_2i-1, e_2i] = e_15 for i = 1..7."""
+    doc = {"dim": 15, "brackets": [[2 * i - 1, 2 * i, 15, 1.0] for i in range(1, 8)]}
+    return algebra.parse_algebra(json.dumps(doc))
 
 
 def random_solvable(rng, n):

@@ -287,10 +287,12 @@ def test_non_finite_curvature_is_input_error(tmp_path, capsys):
         (["--eps", "0.1"], "eps"),
         (["--dt", "0"], "dt"),
         (["--t-max", "-1"], "t_max"),
+        (["--t-max", "0"], "t_max"),
         (["--trials", "0"], "trials"),
         (["--trials", "-1"], "trials"),
     ],
-    ids=["eps-large", "dt-zero", "t-max-negative", "trials-zero", "trials-negative"],
+    ids=["eps-large", "dt-zero", "t-max-negative", "t-max-no-step", "trials-zero",
+         "trials-negative"],
 )
 def test_flow_bad_argument_is_input_error(capsys, args, named):
     code, out, err = run(capsys, "flow", cat("heisenberg3"), *args)

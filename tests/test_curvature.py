@@ -22,12 +22,12 @@ def bianchi_residual(R):
 
 
 def test_connection_abelian_vanishes():
-    gamma = curvature.connection_coefficients(framed("abelian3")).gamma
+    gamma = curvature._gamma(framed("abelian3").c)
     assert np.max(np.abs(gamma)) == 0.0
 
 
 def test_connection_h3_values():
-    gamma = curvature.connection_coefficients(framed("heisenberg3")).gamma
+    gamma = curvature._gamma(framed("heisenberg3").c)
     assert gamma[0, 1, 2] == 0.5
     assert gamma[1, 0, 2] == -0.5
     assert gamma[0, 2, 1] == -0.5
@@ -38,14 +38,14 @@ def test_connection_h3_values():
 
 def test_connection_su2_is_half_epsilon():
     F = framed("su2")
-    gamma = curvature.connection_coefficients(F).gamma
+    gamma = curvature._gamma(F.c)
     assert np.max(np.abs(gamma - 0.5 * F.c)) <= 1e-15
 
 
 def test_connection_invariants():
     for name in catalog.catalog_names():
         F = framed(name)
-        gamma = curvature.connection_coefficients(F).gamma
+        gamma = curvature._gamma(F.c)
         # metric compatibility and torsion-freeness
         assert np.max(np.abs(gamma + np.einsum("ikj->ijk", gamma))) <= 1e-12
         assert np.max(np.abs(gamma - np.einsum("jik->ijk", gamma) - F.c)) <= 1e-12
@@ -53,13 +53,12 @@ def test_connection_invariants():
 
 def test_riemann_abelian_flat():
     F = framed("abelian4")
-    gamma = curvature.connection_coefficients(F)
-    assert np.max(np.abs(curvature.riemann_tensor(F, gamma).R)) == 0.0
+    assert np.max(np.abs(curvature.curvature_summary(F).riemann.R)) == 0.0
 
 
 def test_riemann_su2_sectional_quarter():
     F = framed("su2")
-    R = curvature.riemann_tensor(F, curvature.connection_coefficients(F)).R
+    R = curvature.curvature_summary(F).riemann.R
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -68,7 +67,7 @@ def test_riemann_su2_sectional_quarter():
 
 def test_riemann_h3_sectional():
     F = framed("heisenberg3")
-    R = curvature.riemann_tensor(F, curvature.connection_coefficients(F)).R
+    R = curvature.curvature_summary(F).riemann.R
     assert R[0, 1, 1, 0] == pytest.approx(-0.75, abs=1e-14)
     assert R[0, 2, 2, 0] == pytest.approx(0.25, abs=1e-14)
     assert R[1, 2, 2, 1] == pytest.approx(0.25, abs=1e-14)
@@ -76,14 +75,14 @@ def test_riemann_h3_sectional():
 
 def test_ricci_closed_form_values():
     assert np.allclose(
-        curvature.ricci_closed_form(framed("heisenberg3")),
+        curvature.curvature_summary(framed("heisenberg3")).ric,
         np.diag([-0.5, -0.5, 0.5]),
         atol=1e-14,
     )
     assert np.allclose(
-        curvature.ricci_closed_form(framed("su2")), 0.5 * np.eye(3), atol=1e-14
+        curvature.curvature_summary(framed("su2")).ric, 0.5 * np.eye(3), atol=1e-14
     )
-    assert np.max(np.abs(curvature.ricci_closed_form(framed("abelian3")))) == 0.0
+    assert np.max(np.abs(curvature.curvature_summary(framed("abelian3")).ric)) == 0.0
 
 
 def test_curvature_summary_h3():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from solstab import algebra, curvature, flow, soliton
+from solstab import algebra, catalog, curvature, flow, soliton
 from solstab.errors import NotExpanding, PositivityLost
 
-from conftest import framed
+from conftest import framed, heisenberg15
 
 
 def certified(name, lambda_hint=None):
@@ -43,6 +43,41 @@ def test_ricci_of_metric_batched_agrees_with_loop(rng):
     stacked = flow.ricci_of_metric(F.bracket_tensor, np.array(Gs))
     for G, ric in zip(Gs, stacked):
         assert np.allclose(ric, flow.ricci_of_metric(F.bracket_tensor, G), atol=1e-12)
+
+
+def ricci_by_contraction(beta, G):
+    """Oracle: write the algebra with metric G, move to a G-orthonormal frame,
+    contract the Riemann tensor there and pull the result back."""
+    n = G.shape[0]
+    c = np.einsum("ijm,mk->ijk", beta, G)  # <[e_i, e_j], e_k> under G
+    brackets = tuple(
+        (i + 1, j + 1, k + 1, float(c[i, j, k]))
+        for i in range(n) for j in range(i + 1, n) for k in range(n) if c[i, j, k] != 0.0
+    )
+    L = algebra.MetricLieAlgebra(name="oracle", dim=n, brackets=brackets, metric=G)
+    F = algebra.orthonormal_frame(L)
+    ric_frame = np.einsum("ijki->jk", curvature.curvature_summary(F).riemann.R)
+    back = np.linalg.inv(F.provenance)
+    return back.T @ ric_frame @ back
+
+
+def random_spd(rng, n, size):
+    X = rng.standard_normal((size, n, n))
+    G = X @ np.swapaxes(X, -1, -2) / n + np.eye(n)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+def test_ricci_of_metric_matches_riemann_contraction(rng):
+    algebras = [catalog.load(name) for name in catalog.catalog_names()] + [heisenberg15()]
+    for L in algebras:
+        Gs = random_spd(rng, L.dim, 3)
+        wants = [ricci_by_contraction(L.bracket_tensor, G) for G in Gs]
+        stacked = flow.ricci_of_metric(L.bracket_tensor, Gs)
+        for G, want, got in zip(Gs, wants, stacked):
+            single = flow.ricci_of_metric(L.bracket_tensor, G)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, L.name
+            assert np.max(np.abs(single - want)) <= 1e-12 * scale, L.name
 
 
 def test_ricci_of_metric_rejects_indefinite():
@@ -110,6 +145,8 @@ def test_config_validation():
         flow.FlowConfig(dt=0.0)
     with pytest.raises(ValueError):
         flow.FlowConfig(t_max=-1.0)
+    with pytest.raises(ValueError, match="t_max"):
+        flow.FlowConfig(dt=1e-3, t_max=4e-4)  # rounds to no step
 
 
 def test_random_unit_sym_properties(rng):

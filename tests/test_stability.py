@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from solstab import algebra, curvature, soliton, stability
 
-from conftest import conjugate_framed, framed, random_orthogonal, summary_of
+from conftest import conjugate_framed, framed, heisenberg15, random_orthogonal, summary_of
 from oracles import bisection_eigenvalues, brute_force_max_q, direct_q
 
 # Frozen oracle outputs (brute-force sampling + power-iteration refinement),
@@ -147,8 +145,7 @@ def test_stability_report_h3():
 def test_h15_extension_matches_bisection_oracle():
     # the largest forms the pipeline builds: N = 120 on h15, N = 136 on its
     # dim-16 rank-one extension
-    doc = {"dim": 15, "brackets": [[2 * i - 1, 2 * i, 15, 1.0] for i in range(1, 8)]}
-    F = algebra.orthonormal_frame(algebra.parse_algebra(json.dumps(doc)))
+    F = algebra.orthonormal_frame(heisenberg15())
     summary = curvature.curvature_summary(F)
     cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
     ext_summary = soliton.rank_one_extension(F, cert).summary
