@@ -5,7 +5,7 @@ An algebra is specified by a sparse list of bracket entries (i, j, k, c),
 product G on the basis (identity by default).  This module validates the
 Jacobi identity, moves everything into an orthonormal frame, computes the
 derivation algebra, and reports structural invariants (nilpotency step,
-unimodularity, mean-curvature vector, Killing form).
+unimodularity).
 """
 
 from __future__ import annotations
@@ -83,13 +83,11 @@ class FramedAlgebra:
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """Structural invariants: nilpotency step, unimodularity, H and B."""
+    """Structural invariants: nilpotency step and unimodularity."""
 
     step: int  # lower-central-series length; 0 when not nilpotent
     nilpotent: bool
-    unimodular: bool
-    mean_curvature: np.ndarray  # coordinates of H, <H, X> = tr(ad X)
-    killing: np.ndarray  # B[i,j] = tr(ad e_i o ad e_j)
+    unimodular: bool  # tr(ad X) = 0 for every X
 
 
 @dataclass(frozen=True)
@@ -245,31 +243,31 @@ def derivation_basis(L) -> list[np.ndarray]:
     """Orthonormal basis of the derivation algebra Der(g).
 
     Solves D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] for all i < j as the
-    null space of an assembled linear map on n x n matrices, with
-    singular-value thresholding at RANK_TOL relative to the largest
-    singular value.
+    null space of the linear map on n x n matrices that sends D to the
+    defects, with singular-value thresholding at RANK_TOL relative to the
+    largest singular value.  For abelian g every constraint vanishes and
+    Der(g) = gl(n), returned as its standard basis.
     """
     beta = L.bracket_tensor
     n = beta.shape[0]
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # constraint: sum_m beta[i,j,m] D[k,m]
-                #   - sum_p beta[p,j,k] D[p,i] - sum_p beta[i,p,k] D[p,j] = 0
-                row = np.zeros((n, n))
-                row[k, :] += beta[i, j, :]
-                row[:, i] -= beta[:, j, k]
-                row[:, j] -= beta[i, :, k]
-                rows.append(row.ravel())
-    if not rows:
-        return [np.eye(1)] if n == 1 else []
-    A = np.array(rows)
-    # vh must be square to hold the whole null space; only for n = 2 are
-    # there fewer constraint rows than unknowns, so only then is U square too
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = np.arange(iu.size)
+    # A[p, k, a, b]: coefficient of D[a, b] in component k of the defect on
+    # pair p = (i, j), i.e. sum_m beta[i,j,m] D[k,m]
+    #   - sum_a beta[a,j,k] D[a,i] - sum_a beta[i,a,k] D[a,j]
+    A = np.zeros((iu.size, n, n, n))
+    diag = np.arange(n)
+    A[:, diag, diag, :] = beta[iu, ju][:, None, :]
+    A[pairs, :, :, iu] -= beta[:, ju, :].transpose(1, 2, 0)
+    A[pairs, :, :, ju] -= beta[iu].transpose(0, 2, 1)
+    A = A.reshape(-1, n * n)
+    A = A[np.any(A != 0.0, axis=1)]
+    if A.shape[0] == 0:
+        return list(np.eye(n * n).reshape(n * n, n, n))
+    # vh must be square to hold the whole null space, which takes full
+    # matrices when fewer constraint rows than unknowns are left
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    cutoff = RANK_TOL * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return [vh[r].reshape(n, n) for r in range(rank, n * n)]
 
 
@@ -284,27 +282,14 @@ def derivation_residual(L, D: np.ndarray) -> float:
 
 
 def structure_profile(L) -> StructureProfile:
-    """Nilpotency step, unimodularity, mean curvature H, Killing form B."""
+    """Nilpotency step and unimodularity."""
     beta = L.bracket_tensor
-    n = beta.shape[0]
-    G = getattr(L, "metric", None)
-
-    # ad[i][k][m] = beta[i, m, k]: matrix of ad e_i acting on coordinates
-    ad = np.einsum("imk->ikm", beta)
-    traces = np.einsum("ikk->i", ad)
-    B = np.einsum("ikm,jmk->ij", ad, ad)
-    if G is None or _is_identity(G):
-        H = traces.copy()
-    else:
-        H = np.linalg.solve(G, traces)
-
+    traces = np.einsum("ikk->i", beta)  # tr(ad e_i)
     step = _nilpotency_step(beta)
     return StructureProfile(
         step=step,
         nilpotent=step > 0,
-        unimodular=bool(np.max(np.abs(traces)) <= 1e-12) if n else True,
-        mean_curvature=H,
-        killing=B,
+        unimodular=bool(np.max(np.abs(traces)) <= 1e-12),
     )
 
 

@@ -14,6 +14,8 @@ Exit codes: 0 stable verdict, 1 input error, 2 unstable or inconclusive,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import algebra, curvature, flow, soliton, stability
-from .errors import NotExpanding, SolstabError
+from .errors import AlgebraFormatError, NotExpanding, SolstabError
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
@@ -65,10 +67,20 @@ def _stage(timings: dict[str, float], name: str):
 
 def _certify(path, timings: dict[str, float]):
     """Parse, validate and frame one .alg file; return the frame, its curvature
-    summary and its soliton certificate.  Every command starts with this stage."""
+    summary and its soliton certificate.  Every command starts with this stage,
+    and each error it raises while reading the file names the file."""
     with _stage(timings, "parse"):
-        L = algebra.parse_algebra(Path(path).read_text(encoding="utf-8"))
-        algebra.require_jacobi(L)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise AlgebraFormatError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise AlgebraFormatError(f"{path}: not UTF-8 text") from None
+        try:
+            L = algebra.parse_algebra(text)
+            algebra.require_jacobi(L)
+        except SolstabError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
     with _stage(timings, "curvature"):
         F = algebra.orthonormal_frame(L)
         summary = curvature.curvature_summary(F)
@@ -215,9 +227,9 @@ def _render_table(rows: list[list[str]]) -> str:
 
 
 def _render_csv(rows: list[list[str]]) -> str:
-    lines = [",".join(TABLE_COLUMNS)]
-    lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([TABLE_COLUMNS, *rows])
+    return buf.getvalue()
 
 
 def cmd_analyze(args) -> int:
@@ -230,7 +242,7 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         print(json.dumps(record_json(rec), indent=2))
     elif args.format == "csv":
-        print(_render_csv([record_row(rec)]))
+        print(_render_csv([record_row(rec)]), end="")
     else:
         print(_render_table([record_row(rec)]))
         print(f"verdict: {rec.verdict}")
@@ -260,7 +272,7 @@ def cmd_table(args) -> int:
         except (SolstabError, OSError) as exc:
             rows.append([path.stem, "", "", "", "", f"error: {exc}", "", ""])
     if args.format == "csv":
-        print(_render_csv(rows))
+        print(_render_csv(rows), end="")
     else:
         print(_render_table(rows))
     return EXIT_STABLE

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    FramedAlgebra,
-    MetricLieAlgebra,
-    derivation_residual,
-    orthonormal_frame,
-)
+from .algebra import FramedAlgebra, MetricLieAlgebra, orthonormal_frame
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
 from .errors import EinsteinVerificationFailed, NotExpanding
 
@@ -35,7 +30,7 @@ class SolitonCertificate:
     residual: float
     trace_D: float  # also div X, the divergence of the soliton field
     accepted: bool
-    degenerate: bool  # identity lies in span(Der): lambda fixed by min-norm
+    degenerate: bool  # g abelian, so I is in Der(g) and lambda is not determined
     expanding: bool
 
 
@@ -71,38 +66,24 @@ def solve_algebraic_soliton(
     """Least-squares fit of Ric over span{I} + Der(g).
 
     Non-solitons yield a certificate with large residual rather than an
-    error.  When the identity is itself a derivation (e.g. abelian) the
-    split into lambda and D is not unique; the minimum-norm coefficient
-    solution is returned and the certificate is flagged degenerate, unless
-    ``lambda_hint`` pins lambda.
+    error.  The identity is a derivation exactly when [x, y] = 2[x, y] for
+    all x, y, that is, when g is abelian; then the split into lambda and D
+    is not unique, the minimum-norm coefficient solution is returned and
+    the certificate is flagged degenerate, unless ``lambda_hint`` pins
+    lambda.  ``ders`` is never empty: it spans gl(n) for abelian g and
+    contains ad(g) otherwise.
     """
     n = F.dim
     ric = summary.ric
-    cols = [np.eye(n).ravel()] + [d.ravel() for d in ders]
-    A = np.column_stack(cols)
-
-    # Is I in span(Der)?  Decides the degeneracy flag.
-    if ders:
-        Ad = np.column_stack([d.ravel() for d in ders])
-        coef, *_ = np.linalg.lstsq(Ad, np.eye(n).ravel(), rcond=None)
-        degenerate = bool(
-            np.max(np.abs(Ad @ coef - np.eye(n).ravel())) <= 1e-10
-        )
-    else:
-        degenerate = False
-
-    if lambda_hint is not None:
-        lam = float(lambda_hint)
-        target = (ric - lam * np.eye(n)).ravel()
-        if ders:
-            coef, *_ = np.linalg.lstsq(Ad, target, rcond=None)
-            D = sum(c * d for c, d in zip(coef, ders))
-        else:
-            D = np.zeros((n, n))
-    else:
+    Ad = np.column_stack([d.ravel() for d in ders])
+    if lambda_hint is None:
+        A = np.column_stack([np.eye(n).ravel(), Ad])
         x, *_ = np.linalg.lstsq(A, ric.ravel(), rcond=None)
-        lam = float(x[0])
-        D = sum(c * d for c, d in zip(x[1:], ders)) if ders else np.zeros((n, n))
+        lam, coef = float(x[0]), x[1:]
+    else:
+        lam = float(lambda_hint)
+        coef, *_ = np.linalg.lstsq(Ad, (ric - lam * np.eye(n)).ravel(), rcond=None)
+    D = sum(c * d for c, d in zip(coef, ders))
 
     residual = float(np.max(np.abs(ric - lam * np.eye(n) - D)))
     trace_D = float(np.trace(D))
@@ -112,7 +93,7 @@ def solve_algebraic_soliton(
         residual=residual,
         trace_D=trace_D,
         accepted=residual <= CERT_TOL,
-        degenerate=degenerate,
+        degenerate=not np.any(F.c),
         expanding=lam < 0,
     )
 
@@ -276,12 +257,6 @@ def verify_gaussian_product(
     return GaussianProductReport(k=k, residual=residual)
 
 
-def nilsoliton_identity_residual(cert: SolitonCertificate) -> float:
-    """|tr(D^2) + lambda tr D|, which vanishes for nilsolitons."""
-    D = cert.derivation
-    return float(abs(np.trace(D @ D) + cert.lam * np.trace(D)))
-
-
 __all__ = [
     "SolitonCertificate",
     "EinsteinCertificate",
@@ -295,6 +270,4 @@ __all__ = [
     "crude_curvature_bound",
     "gaussian_extension_dimension",
     "verify_gaussian_product",
-    "nilsoliton_identity_residual",
-    "derivation_residual",
 ]

@@ -2,9 +2,10 @@
 
 Nothing here may share code with the paths under test: eigenvalues come
 from Householder tridiagonalization plus Sturm-count bisection on the
-characteristic polynomial recurrence, and the maximum of the stability
+characteristic polynomial recurrence, the maximum of the stability
 form comes from random sampling of the unit sphere of symmetric tensors
-followed by shifted power-iteration refinement of the direct formula.
+followed by shifted power-iteration refinement of the direct formula, and
+the derivation constraints are assembled one row at a time.
 """
 
 import numpy as np
@@ -127,3 +128,29 @@ def brute_force_max_q(R, ric, n_samples=1_000_000, seed=1234, refine_steps=400):
         h /= np.linalg.norm(h)
     refined = float(np.sum(_apply_form(R, ric, h) * h))
     return max(sampled_max, refined), sampled_max
+
+
+def derivation_projector(beta):
+    """Orthogonal projector onto Der(g) in gl(n), from the constraint rows
+    D[e_i,e_j] - [D e_i, e_j] - [e_i, D e_j] = 0 built one (i < j, k) at a
+    time, with singular values below 1e-10 of the largest counted as zero."""
+    n = beta.shape[0]
+    rows = [np.zeros(n * n)]  # a zero row keeps the matrix non-empty for n = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                row = np.zeros((n, n))
+                row[k, :] += beta[i, j, :]
+                row[:, i] -= beta[:, j, k]
+                row[:, j] -= beta[i, :, k]
+                rows.append(row.ravel())
+    _, s, vh = np.linalg.svd(np.array(rows), full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    null = vh[rank:]
+    return null.T @ null
+
+
+def nilsoliton_identity_residual(cert):
+    """|tr(D^2) + lambda tr D|, which vanishes for nilsolitons."""
+    D = cert.derivation
+    return float(abs(np.trace(D @ D) + cert.lam * np.trace(D)))

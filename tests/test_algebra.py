@@ -3,10 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from solstab import algebra, catalog
+from solstab import algebra, catalog, curvature, soliton
 from solstab.errors import AlgebraFormatError, MetricError
 
-from conftest import framed, random_orthogonal, random_solvable
+from conftest import (
+    conjugate_framed,
+    framed,
+    heisenberg15,
+    random_orthogonal,
+    random_solvable,
+)
+from oracles import derivation_projector
 
 H3_TEXT = json.dumps({"name": "h3", "dim": 3, "brackets": [[1, 2, 3, 1.0]]})
 
@@ -164,6 +171,31 @@ def test_derivation_basis_affine_plane():
         assert algebra.derivation_residual(L, D) <= 1e-10
 
 
+def _scaled_h3(t):
+    return algebra.parse_algebra(json.dumps({"dim": 3, "brackets": [[1, 2, 3, t]]}))
+
+
+def test_derivation_basis_matches_row_by_row_assembly(rng):
+    # (frame, abelian?) pairs; the abelian ones have no nonzero constraint row
+    cases = [(framed(name), name.startswith("abelian")) for name in catalog.catalog_names()]
+    cases += [
+        (algebra.orthonormal_frame(heisenberg15()), False),
+        (conjugate_framed(framed("solv4"), random_orthogonal(rng, 4)), False),
+        (algebra.orthonormal_frame(random_solvable(rng, 5)), False),
+        (algebra.orthonormal_frame(_scaled_h3(1e-6)), False),
+        (algebra.orthonormal_frame(_scaled_h3(1e6)), False),
+        (algebra.orthonormal_frame(algebra.parse_algebra('{"dim": 1}')), True),
+        (algebra.orthonormal_frame(algebra.parse_algebra(json.dumps(
+            {"dim": 4, "metric": np.diag([1.0, 2.0, 3.0, 4.0]).tolist()}))), True),
+    ]
+    for F, abelian in cases:
+        ders = algebra.derivation_basis(F)
+        P = sum(np.outer(d.ravel(), d.ravel()) for d in ders)
+        assert np.max(np.abs(P - derivation_projector(F.c))) <= 1e-12, F.name
+        cert = soliton.solve_algebraic_soliton(F, curvature.curvature_summary(F), ders)
+        assert cert.degenerate is abelian, F.name
+
+
 def test_derivation_space_closed_under_commutator():
     for name in ("heisenberg3", "heisenberg5", "su2", "solv4"):
         L = catalog.load(name)
@@ -182,8 +214,6 @@ def test_structure_profile_h3():
     p = algebra.structure_profile(catalog.load("heisenberg3"))
     assert p.step == 2
     assert p.nilpotent and p.unimodular
-    assert np.max(np.abs(p.mean_curvature)) <= 1e-12
-    assert np.max(np.abs(p.killing)) <= 1e-12
 
 
 def test_structure_profile_abelian():
@@ -205,17 +235,13 @@ def test_structure_profile_solv4():
     assert p.step == 0
     assert not p.nilpotent
     assert not p.unimodular
-    # H points along the extension direction A = e4 with <H, A> = tr(ad A) = 2
-    assert p.mean_curvature[3] == pytest.approx(2.0, abs=1e-12)
-    assert np.max(np.abs(p.mean_curvature[:3])) <= 1e-12
 
 
-def test_nilpotent_profiles_have_zero_H_and_B():
+def test_nilpotent_profiles_are_unimodular():
     for name in ("abelian2", "abelian3", "abelian4", "heisenberg3", "heisenberg5"):
         p = algebra.structure_profile(catalog.load(name))
-        assert p.nilpotent
-        assert np.max(np.abs(p.mean_curvature)) <= 1e-12, name
-        assert np.max(np.abs(p.killing)) <= 1e-12, name
+        assert p.nilpotent, name
+        assert p.unimodular, name
 
 
 def test_step_invariant_under_orthogonal_basis_change(rng):

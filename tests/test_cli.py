@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -79,7 +81,7 @@ def test_analyze_su2_not_expanding_still_soliton(capsys):
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/x.alg")
     assert code == EXIT_INPUT_ERROR
-    assert "error:" in err
+    assert err == "error: /nonexistent/x.alg: No such file or directory\n"
 
 
 def test_analyze_malformed_json(tmp_path, capsys):
@@ -87,7 +89,15 @@ def test_analyze_malformed_json(tmp_path, capsys):
     p.write_text("{not json")
     code, _, err = run(capsys, "analyze", str(p))
     assert code == EXIT_INPUT_ERROR
-    assert "malformed" in err
+    assert err.startswith(f"error: {p}: malformed document")
+    assert err.count(str(p)) == 1 and err.count("\n") == 1
+
+
+def test_analyze_binary_file(tmp_path, capsys):
+    p = tmp_path / "bin.alg"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {p}: not UTF-8 text\n")
 
 
 def test_analyze_broken_jacobi_names_triple(tmp_path, capsys):
@@ -98,7 +108,8 @@ def test_analyze_broken_jacobi_names_triple(tmp_path, capsys):
     )
     code, _, err = run(capsys, "analyze", path)
     assert code == EXIT_INPUT_ERROR
-    assert "Jacobi identity violated" in err
+    assert err.startswith(f"error: {path}: Jacobi identity violated")
+    assert err.count(path) == 1 and err.count("\n") == 1
     assert "(e1, e2, e3)" in err
 
 
@@ -137,6 +148,18 @@ def test_table_csv(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[4] == "0.569"
+
+
+def test_table_csv_quotes_error_rows(tmp_path, capsys):
+    write_alg(tmp_path, "h3", H3)
+    write_alg(tmp_path, "bad", {"dim": 3, "brackets": [[1, 2, 9, 1.0]]})
+    code, out, _ = run(capsys, "table", str(tmp_path), "--format", "csv")
+    assert code == EXIT_STABLE
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 3
+    assert all(len(row) == 8 for row in rows)
+    assert rows[1][0] == "bad" and "[1, 2, 9, 1.0]" in rows[1][5]
+    assert rows[2][4] == "0.569"
 
 
 def test_table_not_a_directory(capsys):
