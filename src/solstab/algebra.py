@@ -59,7 +59,7 @@ class MetricLieAlgebra:
         c = self.structure_tensor
         if _is_identity(self.metric):
             return c
-        return np.einsum("ijk,km->ijm", c, np.linalg.inv(self.metric))
+        return c @ np.linalg.inv(self.metric)
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,12 @@ def orthonormal_frame(L: MetricLieAlgebra) -> FramedAlgebra:
     low = np.linalg.cholesky(G)
     M = np.linalg.inv(low).T
     beta = L.bracket_tensor
-    # <[new_a, new_b], new_c> with <old_m, new_c> = (G M)_{mc} = L_{mc}
-    c = np.einsum("ia,jb,ijm,mc->abc", M, M, beta, low)
+    # <[new_a, new_b], new_c> with <old_m, new_c> = (G M)_{mc} = L_{mc};
+    # contract i, then j, with M as matrix products on (n, n^2) reshapes
+    n = L.dim
+    c = (M.T @ (beta @ low).reshape(n, n * n)).reshape(n, n, n)
+    c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
+    c = c.transpose(1, 0, 2)
     return FramedAlgebra(name=L.name, dim=L.dim, c=c, provenance=M)
 
 
@@ -284,22 +288,23 @@ def derivation_residual(L, D: np.ndarray) -> float:
 def structure_profile(L) -> StructureProfile:
     """Nilpotency step and unimodularity."""
     beta = L.bracket_tensor
+    # rank and trace decisions use the overall bracket scale, not the
+    # (possibly numerically-zero) quantity at hand, so roundoff never revives
+    # the series and the verdicts do not change when the brackets are scaled
+    scale = float(np.max(np.abs(beta)))
     traces = np.einsum("ikk->i", beta)  # tr(ad e_i)
-    step = _nilpotency_step(beta)
+    step = _nilpotency_step(beta, scale)
     return StructureProfile(
         step=step,
         nilpotent=step > 0,
-        unimodular=bool(np.max(np.abs(traces)) <= 1e-12),
+        unimodular=bool(np.max(np.abs(traces)) <= RANK_TOL * scale),
     )
 
 
-def _nilpotency_step(beta: np.ndarray) -> int:
+def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
     """Length of the lower central series, or 0 if it never reaches zero."""
     n = beta.shape[0]
     basis = np.eye(n)  # columns span C^m
-    # rank decisions use the overall bracket scale, not the (possibly
-    # numerically-zero) matrix at hand, so roundoff never revives the series
-    scale = float(np.max(np.abs(beta))) if beta.size else 0.0
     step = 0
     for _ in range(n + 1):
         step += 1
@@ -314,9 +319,7 @@ def _nilpotency_step(beta: np.ndarray) -> int:
     return 0
 
 
-def _column_span(A: np.ndarray, scale: float = 0.0) -> np.ndarray:
-    if A.size == 0 or np.max(np.abs(A)) == 0.0:
-        return np.zeros((A.shape[0], 0))
+def _column_span(A: np.ndarray, scale: float) -> np.ndarray:
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     cutoff = RANK_TOL * max(float(s[0]), scale)
     rank = int(np.sum(s > cutoff))

@@ -28,6 +28,4 @@ def load(name: str) -> MetricLieAlgebra:
 
 
 def load_hints(name: str) -> dict:
-    from .algebra import algebra_hints
-
-    return algebra_hints(catalog_path(name).read_text(encoding="utf-8"))
+    return load(name).hints

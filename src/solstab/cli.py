@@ -8,7 +8,8 @@ Subcommands:
     gaussian  flat-extension dimension needed for certified stability
 
 Exit codes: 0 stable verdict, 1 input error, 2 unstable or inconclusive,
-3 not a soliton (or not expanding, for flow/gaussian).
+3 not a soliton, or not expanding where an expanding soliton is needed
+(flow, gaussian, analyze --gaussian).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import algebra, curvature, flow, soliton, stability
@@ -68,27 +69,27 @@ def _stage(timings: dict[str, float], name: str):
 def _certify(path, timings: dict[str, float]):
     """Parse, validate and frame one .alg file; return the frame, its curvature
     summary and its soliton certificate.  Every command starts with this stage,
-    and each error it raises while reading the file names the file."""
-    with _stage(timings, "parse"):
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise AlgebraFormatError(f"{path}: {exc.strerror}") from None
-        except UnicodeDecodeError:
-            raise AlgebraFormatError(f"{path}: not UTF-8 text") from None
-        try:
+    and each error it raises names the file."""
+    try:
+        with _stage(timings, "parse"):
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise AlgebraFormatError(exc.strerror) from None
+            except UnicodeDecodeError:
+                raise AlgebraFormatError("not UTF-8 text") from None
             L = algebra.parse_algebra(text)
             algebra.require_jacobi(L)
-        except SolstabError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
-    with _stage(timings, "curvature"):
-        F = algebra.orthonormal_frame(L)
-        summary = curvature.curvature_summary(F)
-    with _stage(timings, "soliton"):
-        ders = algebra.derivation_basis(F)
-        cert = soliton.solve_algebraic_soliton(
-            F, summary, ders, lambda_hint=L.hints.get("lambda")
-        )
+        with _stage(timings, "curvature"):
+            F = algebra.orthonormal_frame(L)
+            summary = curvature.curvature_summary(F)
+        with _stage(timings, "soliton"):
+            ders = algebra.derivation_basis(F)
+            cert = soliton.solve_algebraic_soliton(
+                F, summary, ders, lambda_hint=L.hints.get("lambda")
+            )
+    except SolstabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return F, summary, cert
 
 
@@ -188,28 +189,14 @@ def record_json(rec: AnalysisRecord) -> dict:
         "degenerate": cert.degenerate,
         "expanding": cert.expanding,
     }
+    # lambda and tr D are already at the top level
     if rec.report is not None:
-        r = rec.report
-        out["stability"] = {
-            "max_q": r.max_q,
-            "threshold": r.threshold,
-            "q_margin": r.q_margin,
-            "q_verdict": r.q_verdict,
-            "max_Ro": r.max_Ro,
-            "einstein_threshold": r.einstein_threshold,
-            "Ro_margin": r.Ro_margin,
-            "Ro_verdict": r.Ro_verdict,
-        }
+        out["stability"] = asdict(rec.report)
+        del out["stability"]["lam"], out["stability"]["trace_D"]
     if rec.gaussian_plan is not None:
-        p = rec.gaussian_plan
-        out["gaussian"] = {
-            "C1": p.C1,
-            "C2": p.C2,
-            "k": p.k,
-            "mode": p.mode,
-            "bracket_value_at_k": p.bracket_value_at_k,
-            "product_residual": rec.gaussian_residual,
-        }
+        out["gaussian"] = asdict(rec.gaussian_plan)
+        del out["gaussian"]["lam"]
+        out["gaussian"]["product_residual"] = rec.gaussian_residual
     out["timings"] = rec.timings
     return out
 
@@ -283,9 +270,6 @@ def cmd_flow(args) -> int:
     if not cert.accepted:
         print(f"not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
         return EXIT_NOT_SOLITON
-    if cert.lam >= 0:
-        print(f"not expanding: λ={cert.lam:g}", file=sys.stderr)
-        return EXIT_NOT_SOLITON
     try:
         config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
         trials = flow.perturbation_experiment(
@@ -307,15 +291,11 @@ def cmd_flow(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    try:
-        rec = analyze_file(
-            args.path,
-            gaussian_mode=_mode(args.mode),
-            ignore_stability=args.ignore_stability,
-        )
-    except NotExpanding as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SOLITON
+    rec = analyze_file(
+        args.path,
+        gaussian_mode=_mode(args.mode),
+        ignore_stability=args.ignore_stability,
+    )
     if rec.gaussian_plan is None:
         print(
             f"not a soliton: residual {rec.certificate.residual:.3e}",
@@ -379,6 +359,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotExpanding as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_SOLITON
     except (SolstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

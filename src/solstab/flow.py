@@ -14,7 +14,7 @@ independent perturbation trials run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +22,15 @@ from .curvature import ricci_tensor
 from .errors import Blowup, NotExpanding, PositivityLost
 from .soliton import SolitonCertificate
 
+# a flow is aborted when max|G| or the condition number of G exceeds these
+NORM_THRESHOLD = 1e6
+COND_THRESHOLD = 1e12
+
 
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 1e-3
     t_max: float = 10.0
-    norm_threshold: float = 1e6  # abort when max|G| exceeds this
-    cond_threshold: float = 1e12
     sample_every: int = 10  # record a trace sample every this many steps
 
     def __post_init__(self):
@@ -106,13 +108,13 @@ def _relative(defect, G):
     return np.max(np.abs(defect), axis=(-2, -1)) / np.max(np.abs(G), axis=(-2, -1))
 
 
-def _check_state(G, config):
-    if np.max(np.abs(G)) > config.norm_threshold:
-        raise Blowup(f"metric norm exceeded {config.norm_threshold:g}")
+def _check_state(G):
+    if np.max(np.abs(G)) > NORM_THRESHOLD:
+        raise Blowup(f"metric norm exceeded {NORM_THRESHOLD:g}")
     w = np.linalg.eigvalsh(G)  # ascending, per metric of a stack
     if np.min(w) <= 0:
         raise PositivityLost("metric lost positive definiteness")
-    if np.max(w[..., -1] / w[..., 0]) > config.cond_threshold:
+    if np.max(w[..., -1] / w[..., 0]) > COND_THRESHOLD:
         raise PositivityLost("metric condition number exceeded threshold")
 
 
@@ -127,7 +129,7 @@ def _sampled_steps(beta, G, lam, D, config):
         k4 = _rhs(beta, G + dt * k3, lam, D)
         G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % config.sample_every == 0 or step == n_steps:
-            _check_state(G, config)
+            _check_state(G)
             yield step * dt, G
 
 
@@ -142,7 +144,7 @@ def integrate_flow(
     config = config or FlowConfig()
     beta = L.bracket_tensor
     G = np.array(G0, dtype=float)
-    _check_state(G, config)
+    _check_state(G)
 
     def sample(t, Gs):
         defect = _defect(beta, Gs, lam, D)  # the right-hand side is -2 defect

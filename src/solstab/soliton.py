@@ -145,21 +145,16 @@ def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> EinsteinEx
     D = cert.derivation
     n = F.dim
     alpha = float(np.sqrt(-cert.lam / np.trace(D @ D)))
-    entries: list[tuple[int, int, int, float]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if F.c[i, j, k] != 0.0:
-                    entries.append((i + 1, j + 1, k + 1, float(F.c[i, j, k])))
+    c = np.zeros((n + 1, n + 1, n + 1))
+    c[:n, :n, :n] = F.c
     # [e_j, A] = -alpha D e_j, with A the new last basis vector
-    for j in range(n):
-        for k in range(n):
-            if D[k, j] != 0.0:
-                entries.append((j + 1, n + 1, k + 1, float(-alpha * D[k, j])))
+    c[:n, n, :n] = -alpha * D.T
+    idx = np.array(np.nonzero(c))
+    idx = idx[:, idx[0] < idx[1]]
     ext = MetricLieAlgebra(
         name=f"{F.name}+solvext",
         dim=n + 1,
-        brackets=tuple(entries),
+        brackets=tuple(zip(*(idx + 1).tolist(), c[tuple(idx)].tolist())),
         metric=np.eye(n + 1),
     )
     summary = curvature_summary(orthonormal_frame(ext))

@@ -60,18 +60,12 @@ class StabilityReport:
 def sym2_basis(n: int) -> Sym2Basis:
     if n < 1 or n > 17:
         raise ValueError(f"n must be in 1..17, got {n}")
-    elements = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        elements.append(E)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = inv_sqrt2
-            elements.append(E)
-    return Sym2Basis(n=n, N=n * (n + 1) // 2, elements=np.array(elements))
+    iu, ju = np.triu_indices(n, k=1)
+    diag, off = np.arange(n), np.arange(n, n + iu.size)
+    elements = np.zeros((n + iu.size, n, n))
+    elements[diag, diag, diag] = 1.0
+    elements[off, iu, ju] = elements[off, ju, iu] = 1.0 / np.sqrt(2.0)
+    return Sym2Basis(n=n, N=n * (n + 1) // 2, elements=elements)
 
 
 def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm:

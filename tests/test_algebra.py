@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,11 +231,15 @@ def test_structure_profile_su2_not_nilpotent():
 
 
 def test_structure_profile_solv4():
-    # rank-one extension of h3: solvable, not nilpotent, not unimodular
-    p = algebra.structure_profile(catalog.load("solv4"))
-    assert p.step == 0
-    assert not p.nilpotent
-    assert not p.unimodular
+    # rank-one extension of h3: solvable, not nilpotent, not unimodular, at
+    # every bracket scale (tr ad is compared with the scale of the brackets)
+    L = catalog.load("solv4")
+    for s in (1.0, 1e-13, 1e-20, 1e6):
+        scaled = replace(L, brackets=tuple((i, j, k, s * v) for i, j, k, v in L.brackets))
+        p = algebra.structure_profile(scaled)
+        assert p.step == 0, s
+        assert not p.nilpotent, s
+        assert not p.unimodular, s
 
 
 def test_nilpotent_profiles_are_unimodular():

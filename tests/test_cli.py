@@ -16,6 +16,9 @@ from solstab.cli import (
 )
 
 
+NOT_EXPANDING_SU2 = "error: not expanding: lambda=0.5\n"
+
+
 def cat(name):
     return str(catalog.catalog_path(name))
 
@@ -190,6 +193,7 @@ def test_flow_su2_not_expanding(capsys):
     code, _, err = run(capsys, "flow", cat("su2"), "--trials", "1")
     assert code == EXIT_NOT_SOLITON
     assert "not expanding" in err
+    assert err == NOT_EXPANDING_SU2
 
 
 def test_flow_zero_eps(capsys):
@@ -229,6 +233,14 @@ def test_gaussian_abelian2(capsys):
 def test_gaussian_not_expanding(capsys):
     code, _, err = run(capsys, "gaussian", cat("su2"))
     assert code == EXIT_NOT_SOLITON
+    assert err == NOT_EXPANDING_SU2
+
+
+def test_analyze_gaussian_not_expanding(capsys):
+    # the same outcome as the gaussian and flow commands, not an input error
+    code, out, err = run(capsys, "analyze", cat("su2"), "--gaussian")
+    assert (code, out) == (EXIT_NOT_SOLITON, "")
+    assert err == NOT_EXPANDING_SU2
 
 
 def test_analyze_file_api_returns_record():
@@ -295,12 +307,14 @@ def test_non_finite_curvature_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("error:")
     assert "curvature" in err
+    assert err.count(path) == 1
 
     write_alg(tmp_path, "h3", H3)
     code, out, _ = run(capsys, "table", str(tmp_path))
     assert code == EXIT_STABLE
     rows = out.strip().splitlines()[1:]
     assert rows[1].startswith("huge ") and "error: " in rows[1]
+    assert rows[1].count(path) == 1
     assert "0.569" in rows[0]
 
 

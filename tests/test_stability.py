@@ -37,6 +37,19 @@ def test_sym2_basis_ordering():
     assert basis.elements[2][2, 2] == 1.0
     assert basis.elements[3][0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
     assert basis.elements[5][1, 2] == pytest.approx(1.0 / np.sqrt(2.0))
+    # the whole basis equals the element-by-element construction
+    for n in (1, 2, 5, 17):
+        want = []
+        for i in range(n):
+            E = np.zeros((n, n))
+            E[i, i] = 1.0
+            want.append(E)
+        for i in range(n):
+            for j in range(i + 1, n):
+                E = np.zeros((n, n))
+                E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+                want.append(E)
+        assert np.array_equal(stability.sym2_basis(n).elements, np.array(want)), n
 
 
 def test_sym2_basis_rejects_out_of_range():
