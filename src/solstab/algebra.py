@@ -24,7 +24,7 @@ MAX_DIM = 16
 # value; catalog constants are exact small rationals or simple surds, far
 # from this threshold.
 RANK_TOL = 1e-10
-JACOBI_TOL = 1e-10
+JACOBI_TOL = 1e-10  # times max|beta|^2: the Jacobi residual is quadratic
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,12 @@ def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
-    """Jacobi-identity diagnostics for a metric Lie algebra or frame."""
-    res = jacobi_residual(L.bracket_tensor)
-    return AlgebraDiagnostics(jacobi_residual=res, ok=res <= JACOBI_TOL)
+    """Jacobi-identity diagnostics for a metric Lie algebra or frame; the check
+    is res <= JACOBI_TOL max|beta|^2, written so that it cannot overflow."""
+    beta = L.bracket_tensor
+    res, scale = jacobi_residual(beta), float(np.max(np.abs(beta)))
+    return AlgebraDiagnostics(jacobi_residual=res,
+                              ok=scale == 0 or res / scale <= JACOBI_TOL * scale)
 
 
 def require_jacobi(L) -> None:

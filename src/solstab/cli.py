@@ -66,11 +66,20 @@ def _stage(timings: dict[str, float], name: str):
     timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
+@contextmanager
+def _naming(path):
+    """Prefix the message of a SolstabError raised inside with the file's path."""
+    try:
+        yield
+    except SolstabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _certify(path, timings: dict[str, float]):
     """Parse, validate and frame one .alg file; return the frame, its curvature
     summary and its soliton certificate.  Every command starts with this stage,
     and each error it raises names the file."""
-    try:
+    with _naming(path):
         with _stage(timings, "parse"):
             try:
                 text = Path(path).read_text(encoding="utf-8")
@@ -88,8 +97,6 @@ def _certify(path, timings: dict[str, float]):
             cert = soliton.solve_algebraic_soliton(
                 F, summary, ders, lambda_hint=L.hints.get("lambda")
             )
-    except SolstabError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
     return F, summary, cert
 
 
@@ -109,7 +116,7 @@ def analyze_file(
     gaussian_plan = None
     gaussian_residual = None
     if cert.accepted:
-        with _stage(timings, "stability"):
+        with _naming(path), _stage(timings, "stability"):
             ext_summary = None
             if extend and soliton.extension_obstruction(cert) is None:
                 ext_summary = soliton.rank_one_extension(F, cert).summary

@@ -8,6 +8,9 @@ Integration is classical fixed-step fourth-order Runge-Kutta: stiffness is
 absent near stable fixed points at the perturbation sizes used here, and
 determinism is preferred over adaptive control.
 
+`integrate_flow` is the one RK4 loop.  The defect Ric - lambda G - sym(G D)
+at each point is evaluated once, as that point's residual and as the next
+step's first stage, so a flow of n steps makes 4 n + 1 Ricci evaluations.
 All helpers accept stacked metrics (leading batch axes), which is how
 independent perturbation trials run concurrently.
 """
@@ -54,8 +57,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    samples: list[tuple[float, float, float, float]]
-    # entries: (t, soliton_residual, distance_to_G0, rhs_norm)
+    samples: list[tuple]
+    # entries: (t, soliton_residual, distance_to_G0, rhs_norm); the last three
+    # are floats for one metric and arrays with one value per metric for a stack
     final: FlowState
 
 
@@ -97,11 +101,7 @@ def _rhs(beta, G, lam, D):
 
 def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
     """||Ric(G) - lambda G - (G D + D^T G)/2|| / ||G|| in max norm."""
-    return float(_batch_residual(L.bracket_tensor, G, lam, D))
-
-
-def _batch_residual(beta, G, lam, D):
-    return _relative(_defect(beta, G, lam, D), G)
+    return float(_relative(_defect(L.bracket_tensor, G, lam, D), G))
 
 
 def _relative(defect, G):
@@ -118,21 +118,6 @@ def _check_state(G):
         raise PositivityLost("metric condition number exceeded threshold")
 
 
-def _sampled_steps(beta, G, lam, D, config):
-    """RK4 from G, yielding (t, G) checked every sample_every steps and at the end."""
-    dt = config.dt
-    n_steps = config.n_steps
-    for step in range(1, n_steps + 1):
-        k1 = _rhs(beta, G, lam, D)
-        k2 = _rhs(beta, G + 0.5 * dt * k1, lam, D)
-        k3 = _rhs(beta, G + 0.5 * dt * k2, lam, D)
-        k4 = _rhs(beta, G + dt * k3, lam, D)
-        G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % config.sample_every == 0 or step == n_steps:
-            _check_state(G)
-            yield step * dt, G
-
-
 def integrate_flow(
     L,
     G0: np.ndarray,
@@ -140,26 +125,34 @@ def integrate_flow(
     D: np.ndarray,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Integrate the flow from G0, sampling residuals and the distance to G0."""
+    """RK4 from G0, one metric or a stack, sampled every sample_every steps and
+    at the end; each point's defect is evaluated once, as the sample's residual
+    (one value per metric for a stack) and as the next step's first stage."""
     config = config or FlowConfig()
-    beta = L.bracket_tensor
-    G = np.array(G0, dtype=float)
+    beta, dt, n_steps = L.bracket_tensor, config.dt, config.n_steps
+    G = G0 = np.array(G0, dtype=float)
     _check_state(G)
+    d = _defect(beta, G, lam, D)
 
-    def sample(t, Gs):
-        defect = _defect(beta, Gs, lam, D)  # the right-hand side is -2 defect
-        return (
-            t,
-            float(_relative(defect, Gs)),
-            float(np.linalg.norm(Gs - G0)),
-            2.0 * float(np.max(np.abs(defect))),
-        )
+    def sample(t, G, d):  # the right-hand side is -2 d
+        values = (_relative(d, G), np.linalg.norm(G - G0, axis=(-2, -1)),
+                  2.0 * np.max(np.abs(d), axis=(-2, -1)))
+        return (t, *(float(v) if G.ndim == 2 else v for v in values))
 
-    t = 0.0
-    samples = [sample(t, G)]
-    for t, G in _sampled_steps(beta, G, lam, D, config):
-        samples.append(sample(t, G))
-    return FlowTrace(samples=samples, final=FlowState(t=t, G=G))
+    samples = [sample(0.0, G, d)]
+    for step in range(1, n_steps + 1):
+        k1 = -2.0 * d
+        k2 = _rhs(beta, G + 0.5 * dt * k1, lam, D)
+        k3 = _rhs(beta, G + 0.5 * dt * k2, lam, D)
+        k4 = _rhs(beta, G + dt * k3, lam, D)
+        G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sampled = step % config.sample_every == 0 or step == n_steps
+        if sampled:
+            _check_state(G)
+        d = _defect(beta, G, lam, D)
+        if sampled:
+            samples.append(sample(step * dt, G, d))
+    return FlowTrace(samples=samples, final=FlowState(t=n_steps * dt, G=G))
 
 
 def random_unit_sym(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -193,21 +186,13 @@ def perturbation_experiment(
         raise ValueError(f"eps must be at most 1e-2, got {eps:g}")
     if n_trials < 1:
         raise ValueError(f"trials must be at least 1, got {n_trials}")
-    config = config or FlowConfig()
-    beta = F.bracket_tensor
-    lam, D = cert.lam, cert.derivation
-
     rng = np.random.default_rng(seed)
     G = np.eye(F.dim) + eps * random_unit_sym(rng, F.dim, n_trials)
-
-    initial = _batch_residual(beta, G, lam, D)
-    final = initial
-    violations = np.zeros(n_trials, dtype=int)
-    for _, G in _sampled_steps(beta, G, lam, D, config):
-        cur = _batch_residual(beta, G, lam, D)
-        # tiny floor: residuals at integrator precision jitter freely
-        violations += (cur > final + 1e-13).astype(int)
-        final = cur
+    trace = integrate_flow(F, G, cert.lam, cert.derivation, config)
+    residuals = np.array([s[1] for s in trace.samples])
+    initial, final = residuals[0], residuals[-1]
+    # tiny floor: residuals at integrator precision jitter freely
+    violations = np.sum(residuals[1:] > residuals[:-1] + 1e-13, axis=0)
     return [
         TrialReport(
             trial=i,

@@ -251,18 +251,3 @@ def verify_gaussian_product(
     residual = float(np.max(np.abs(ric_prod - rhs)))
     return GaussianProductReport(k=k, residual=residual)
 
-
-__all__ = [
-    "SolitonCertificate",
-    "EinsteinCertificate",
-    "EinsteinExtension",
-    "GaussianExtensionPlan",
-    "GaussianProductReport",
-    "solve_algebraic_soliton",
-    "check_einstein",
-    "extension_obstruction",
-    "rank_one_extension",
-    "crude_curvature_bound",
-    "gaussian_extension_dimension",
-    "verify_gaussian_product",
-]

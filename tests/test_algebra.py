@@ -82,6 +82,19 @@ def test_validate_broken_jacobi():
     assert diag.jacobi_residual > 0.1
 
 
+NOT_LIE = [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [2, 4, 1, 1.0]]  # fails Jacobi at (e1, e2, e3)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4, 1e6])
+def test_jacobi_check_is_scale_free(rng, s):
+    doc = {"dim": 4, "brackets": [[i, j, k, s * v] for i, j, k, v in NOT_LIE]}
+    assert not algebra.validate_algebra(algebra.parse_algebra(json.dumps(doc))).ok
+    # a rotated solv4 carries round-off of order eps * s^2 in its residual
+    F = conjugate_framed(framed("solv4"), random_orthogonal(rng, 4))
+    scaled = algebra.FramedAlgebra(name=F.name, dim=4, c=s * F.c, provenance=F.provenance)
+    assert algebra.validate_algebra(scaled).ok
+
+
 def test_validate_catalog():
     for name in catalog.catalog_names():
         assert algebra.validate_algebra(catalog.load(name)).ok, name

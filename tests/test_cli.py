@@ -5,7 +5,7 @@ import json
 import pytest
 
 from solstab import algebra, catalog, curvature, flow, soliton, stability
-from solstab.errors import AlgebraFormatError
+from solstab.errors import AlgebraFormatError, EinsteinVerificationFailed
 from solstab.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_SOLITON,
@@ -298,6 +298,14 @@ def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     assert "0.569" in rows[1]
 
 
+def test_small_scale_jacobi_failure_is_input_error(tmp_path, capsys):
+    # a residual of 1e-12 at bracket scale 1e-6 is as large as 1 at scale 1
+    doc = {"dim": 4, "brackets": [[1, 2, 3, 1e-6], [1, 3, 4, 1e-6], [2, 4, 1, 1e-6]]}
+    code, out, err = run(capsys, "analyze", write_alg(tmp_path, "tiny", doc))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert "Jacobi identity violated at triple (e1, e2, e3)" in err
+
+
 def test_non_finite_curvature_is_input_error(tmp_path, capsys):
     # finite brackets whose curvature overflows: the cross-check residual is
     # NaN, which no tolerance comparison rejects
@@ -316,6 +324,21 @@ def test_non_finite_curvature_is_input_error(tmp_path, capsys):
     assert rows[1].startswith("huge ") and "error: " in rows[1]
     assert rows[1].count(path) == 1
     assert "0.569" in rows[0]
+
+
+def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):
+    def fail(F, cert):
+        raise EinsteinVerificationFailed("extension is not Einstein")
+
+    monkeypatch.setattr(soliton, "rank_one_extension", fail)
+    path = write_alg(tmp_path, "h3", H3)
+    code, out, err = run(capsys, "analyze", path, "--extend")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == f"error: {path}: extension is not Einstein\n"
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    row = out.strip().splitlines()[1]
+    assert code == EXIT_STABLE
+    assert "error: " in row and row.count(path) == 1
 
 
 @pytest.mark.parametrize(
@@ -370,5 +393,5 @@ def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
     assert code == EXIT_STABLE
     assert decodes["calls"] == 1
     assert eigen["calls"] == 0
-    steps, samples = 50, 5
-    assert ricci["calls"] == 4 * steps + samples + 1
+    steps = 50
+    assert ricci["calls"] == 4 * steps + 1  # each point's defect is evaluated once

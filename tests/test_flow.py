@@ -191,6 +191,20 @@ def test_perturbation_experiment_matches_single_integration():
         )
 
 
+@pytest.mark.parametrize("name", ["heisenberg3", "solv4"])
+def test_integrate_flow_stack_equals_single_runs(name):
+    F, cert = certified(name)
+    config = flow.FlowConfig(dt=1e-2, t_max=0.5, sample_every=7)
+    G0 = np.eye(F.dim) + 1e-3 * flow.random_unit_sym(np.random.default_rng(2), F.dim, 3)
+    stack = flow.integrate_flow(F, G0, cert.lam, cert.derivation, config)
+    for i in range(3):
+        single = flow.integrate_flow(F, G0[i], cert.lam, cert.derivation, config)
+        assert all(type(v) is float for s in single.samples for v in s)
+        assert [(s[0], *(v[i] for v in s[1:])) for s in stack.samples] == single.samples
+        assert np.array_equal(stack.final.G[i], single.final.G)
+        assert stack.final.t == single.final.t
+
+
 def test_perturbation_experiment_rejects_nonexpanding():
     F, cert = certified("su2")
     with pytest.raises(NotExpanding):
