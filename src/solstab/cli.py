@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import algebra, curvature, flow, soliton, stability
-from .errors import AlgebraFormatError, NotExpanding, SolstabError
+from .errors import AlgebraFormatError, Blowup, NotExpanding, PositivityLost, SolstabError
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
@@ -67,11 +67,11 @@ def _stage(timings: dict[str, float], name: str):
 
 
 @contextmanager
-def _naming(path):
-    """Prefix the message of a SolstabError raised inside with the file's path."""
+def _naming(path, errors=SolstabError):
+    """Prefix the message of an error of these types raised inside with the path."""
     try:
         yield
-    except SolstabError as exc:
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -279,9 +279,10 @@ def cmd_flow(args) -> int:
         return EXIT_NOT_SOLITON
     try:
         config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
-        trials = flow.perturbation_experiment(
-            F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
-        )
+        with _naming(args.path, (PositivityLost, Blowup)):  # the flow's state errors
+            trials = flow.perturbation_experiment(
+                F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
+            )
     except ValueError as exc:  # out-of-range flow arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

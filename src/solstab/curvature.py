@@ -69,29 +69,30 @@ def ricci_tensor(beta: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
     beta[i,j,m] are the bracket coefficients, [e_i, e_j] = beta[i,j,m] e_m,
     and A = G^{-1}; G and A may carry leading batch axes.  This is Besse's
     closed form (Einstein Manifolds, 7.38) with its sums over an orthonormal
-    basis contracted by A:
+    basis contracted by A, where Y = beta G and tau_x = beta_xkk:
 
-        Ric_xy = -1/2 A^ij beta_xim G_mn beta_yjn
-                 + 1/4 A^ip A^jq (beta G)_ijx (beta G)_pqy
+        Ric_xy = -1/2 A^ij beta_xim G_mn beta_yjn + 1/4 A^ip A^jq Y_ijx Y_pqy
                  - 1/2 B_xy - 1/2 (U_xy + U_yx)
 
-    with the Killing form B_xy = beta_xkm beta_ymk and U = (H^m beta_m..) G,
-    where H = A tau, tau_x = beta_xkk, is the mean-curvature vector.  The
-    last two terms vanish for nilpotent algebras.
+    with the Killing form B_xy = beta_xkm beta_ymk and U_xy = H^m Y_mxy, where
+    H = A tau is the mean-curvature vector; the last two terms vanish for
+    nilpotent algebras.  Every metric-dependent term comes from
+    W[p,j,x] = A^pi Y_ijx and its transposed copy T[x,j,n] = W[j,x,n]: as beta
+    and Y are antisymmetric in i and j, A^ij beta_xim G_mn = -T[x,j,n] in the
+    first term, A^jq Y_pqy = -T[p,j,y] in the second, and U_xy = tau_p W[p,x,y].
+    W is stored halved, which carries the 1/2 and 1/4 exactly.
     """
     n = beta.shape[-1]
     batch = G.shape[:-2]
     rows = beta.reshape(n, n * n)
-    bG = (beta.reshape(n * n, n) @ G).reshape(*batch, n, n * n)  # <[e_i,e_j], e_x>
-    Ab = (A[..., None, :, :] @ beta).reshape(*batch, n, n * n)  # A^ij beta_yjn at [y,(i,n)]
-    first = bG @ np.swapaxes(Ab, -1, -2)
-    W = (A @ bG).reshape(*batch, n, n, n)  # A^pi (beta G)_ijx at [p,j,x]
-    V = (A[..., None, :, :] @ W).reshape(*batch, n * n, n)  # A^pi A^qj (beta G)_ijx
-    second = np.swapaxes(V, -1, -2) @ bG.reshape(*batch, n * n, n)
+    Y = (beta.reshape(n * n, n) @ G).reshape(*batch, n, n * n)  # <[e_i,e_j], e_x>
+    W = 0.5 * (A @ Y)  # A^pi Y_ijx / 2 at [p,(j,x)]
+    T = W.reshape(*batch, n, n, n).swapaxes(-3, -2).reshape(-1, n * n)  # [x,(j,n)]
+    first = (T @ rows.T).reshape(*batch, n, n)
+    second = W.reshape(*batch, n * n, n).swapaxes(-1, -2) @ T.reshape(*batch, n * n, n)
     killing = rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T
-    H = A @ np.trace(beta, axis1=1, axis2=2)
-    U = (H @ rows).reshape(*batch, n, n) @ G
-    return -0.5 * first + 0.25 * second - 0.5 * killing - 0.5 * (U + np.swapaxes(U, -1, -2))
+    U = (beta.trace(axis1=1, axis2=2) @ W).reshape(*batch, n, n)
+    return first - second - 0.5 * killing - (U + U.swapaxes(-1, -2))
 
 
 def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:

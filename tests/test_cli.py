@@ -345,19 +345,28 @@ def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):
     "args, named",
     [
         (["--eps", "0.1"], "eps"),
+        (["--eps", "-5"], "eps"),
         (["--dt", "0"], "dt"),
         (["--t-max", "-1"], "t_max"),
         (["--t-max", "0"], "t_max"),
         (["--trials", "0"], "trials"),
         (["--trials", "-1"], "trials"),
     ],
-    ids=["eps-large", "dt-zero", "t-max-negative", "t-max-no-step", "trials-zero",
-         "trials-negative"],
+    ids=["eps-large", "eps-negative", "dt-zero", "t-max-negative", "t-max-no-step",
+         "trials-zero", "trials-negative"],
 )
 def test_flow_bad_argument_is_input_error(capsys, args, named):
     code, out, err = run(capsys, "flow", cat("heisenberg3"), *args)
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def test_flow_state_error_names_the_file(capsys):
+    # a step of 2 takes the metric out of the positive-definite cone
+    path = cat("heisenberg3")
+    code, out, err = run(capsys, "flow", path, "--dt", "2", "--t-max", "20")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == f"error: {path}: metric is not positive definite\n"
 
 
 def _count_calls(monkeypatch, *targets):

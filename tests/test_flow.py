@@ -4,7 +4,7 @@ import pytest
 from solstab import algebra, catalog, curvature, flow, soliton
 from solstab.errors import NotExpanding, PositivityLost
 
-from conftest import framed, heisenberg15
+from conftest import framed, heisenberg15, random_solvable
 
 
 def certified(name, lambda_hint=None):
@@ -68,7 +68,10 @@ def random_spd(rng, n, size):
 
 
 def test_ricci_of_metric_matches_riemann_contraction(rng):
-    algebras = [catalog.load(name) for name in catalog.catalog_names()] + [heisenberg15()]
+    # random solvable algebras are not unimodular, so they exercise the
+    # mean-curvature term too
+    algebras = ([catalog.load(name) for name in catalog.catalog_names()] + [heisenberg15()]
+                + [random_solvable(rng, n) for n in range(3, 9)])
     for L in algebras:
         Gs = random_spd(rng, L.dim, 3)
         wants = [ricci_by_contraction(L.bracket_tensor, G) for G in Gs]
@@ -122,6 +125,25 @@ def test_integrate_flow_perturbation_decays():
     # residual samples are (weakly) decreasing up to integrator noise
     residuals = [s[1] for s in trace.samples]
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+
+@pytest.mark.parametrize("name", ["heisenberg5", "solv4"])
+def test_integrate_flow_step_is_classical_rk4(name):
+    F, cert = certified(name)
+    dt = 1e-2
+    G = np.eye(F.dim) + 1e-3 * flow.random_unit_sym(np.random.default_rng(4), F.dim, 3)
+    config = flow.FlowConfig(dt=dt, t_max=dt)
+    got = flow.integrate_flow(F, G, cert.lam, cert.derivation, config).final.G
+
+    def k(X):
+        return flow.flow_rhs(F, X, cert.lam, cert.derivation)
+
+    k1 = k(G)
+    k2 = k(G + 0.5 * dt * k1)
+    k3 = k(G + 0.5 * dt * k2)
+    k4 = k(G + dt * k3)
+    want = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(G))
 
 
 def test_rk4_convergence_order():
@@ -215,3 +237,9 @@ def test_perturbation_experiment_rejects_large_eps():
     F, cert = certified("heisenberg3")
     with pytest.raises(ValueError):
         flow.perturbation_experiment(F, cert, 0.5, 1, seed=0)
+
+
+def test_perturbation_experiment_rejects_negative_eps():
+    F, cert = certified("heisenberg3")
+    with pytest.raises(ValueError, match="eps"):
+        flow.perturbation_experiment(F, cert, -5.0, 1, seed=0)
