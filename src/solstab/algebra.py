@@ -1,18 +1,18 @@
 """Metric Lie algebras from structure constants.
 
-An algebra is specified by a sparse list of bracket entries (i, j, k, c),
+An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
-product G on the basis (identity by default).  This module validates the
-Jacobi identity, moves everything into an orthonormal frame, computes the
-derivation algebra, and reports structural invariants (nilpotency step,
-unimodularity).
+product G on the basis (identity by default), and held as its dense
+structure tensor.  This module validates the Jacobi identity, moves the
+tensor into an orthonormal frame, computes the derivation algebra, and
+reports structural invariants (nilpotency step, unimodularity).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,24 +31,16 @@ JACOBI_TOL = 1e-10  # times max|beta|^2: the Jacobi residual is quadratic
 class MetricLieAlgebra:
     """A Lie algebra with a chosen basis and inner product.
 
-    ``brackets`` holds entries (i, j, k, c), 1-based, i < j, meaning
-    <[e_i, e_j], e_k> = c with respect to ``metric``.
+    ``c`` is the dense antisymmetric structure tensor c[i,j,k] =
+    <[e_i, e_j], e_k> (0-based) with respect to ``metric``.  In an
+    orthonormal frame (metric I) it equals the bracket coefficients.
     """
 
     name: str
     dim: int
-    brackets: tuple[tuple[int, int, int, float], ...]
+    c: np.ndarray
     metric: np.ndarray
     hints: dict = field(default_factory=dict)
-
-    @property
-    def structure_tensor(self) -> np.ndarray:
-        """Dense antisymmetric c[i,j,k] = <[e_i, e_j], e_k> (0-based)."""
-        c = np.zeros((self.dim, self.dim, self.dim))
-        for i, j, k, v in self.brackets:
-            c[i - 1, j - 1, k - 1] = v
-            c[j - 1, i - 1, k - 1] = -v
-        return c
 
     @property
     def bracket_tensor(self) -> np.ndarray:
@@ -56,29 +48,9 @@ class MetricLieAlgebra:
 
         The last index of the structure tensor is raised with G^{-1}.
         """
-        c = self.structure_tensor
         if _is_identity(self.metric):
-            return c
-        return c @ np.linalg.inv(self.metric)
-
-
-@dataclass(frozen=True)
-class FramedAlgebra:
-    """Structure constants in an orthonormal basis.
-
-    c[i,j,k] = <[e_i, e_j], e_k> with the basis orthonormal, so bracket
-    coefficients and structure constants coincide.  ``provenance`` is the
-    basis-change matrix M with new_a = sum_i M[i, a] old_i.
-    """
-
-    name: str
-    dim: int
-    c: np.ndarray
-    provenance: np.ndarray
-
-    @property
-    def bracket_tensor(self) -> np.ndarray:
-        return self.c
+            return self.c
+        return self.c @ np.linalg.inv(self.metric)
 
 
 @dataclass(frozen=True)
@@ -118,7 +90,7 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
     raw_entries = doc.get("brackets", [])
     if not isinstance(raw_entries, list):
         raise AlgebraFormatError("'brackets' must be a list")
-    entries: list[tuple[int, int, int, float]] = []
+    c = np.zeros((n, n, n))
     seen: set[tuple[int, int, int]] = set()
     for raw in raw_entries:
         what = f"bracket entry {raw!r}"
@@ -136,7 +108,8 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
         if (i, j, k) in seen:
             raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
         seen.add((i, j, k))
-        entries.append((i, j, k, v))
+        c[i - 1, j - 1, k - 1] = v
+        c[j - 1, i - 1, k - 1] = -v
 
     if doc.get("metric") is not None:
         try:
@@ -156,7 +129,7 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
         raise AlgebraFormatError("'hints' must be a JSON object")
     if hints.get("lambda") is not None:
         hints = {**hints, "lambda": _finite(hints["lambda"], "hints.lambda")}
-    return MetricLieAlgebra(name=name, dim=n, brackets=tuple(entries), metric=G, hints=hints)
+    return MetricLieAlgebra(name=name, dim=n, c=c, metric=G, hints=hints)
 
 
 def load_algebra(path) -> MetricLieAlgebra:
@@ -204,7 +177,7 @@ def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
-    """Jacobi-identity diagnostics for a metric Lie algebra or frame; the check
+    """Jacobi-identity diagnostics for a metric Lie algebra; the check
     is res <= JACOBI_TOL max|beta|^2, written so that it cannot overflow."""
     beta = L.bracket_tensor
     res, scale = jacobi_residual(beta), float(np.max(np.abs(beta)))
@@ -221,18 +194,17 @@ def require_jacobi(L) -> None:
         )
 
 
-def orthonormal_frame(L: MetricLieAlgebra) -> FramedAlgebra:
-    """Express the structure constants in a G-orthonormal basis.
+def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
+    """The same algebra with its structure constants in a G-orthonormal basis.
 
     The basis change comes from the lower-triangular Cholesky factor
-    G = L L^T, with new_a = sum_i (L^{-T})[i, a] old_i.  For the identity
-    metric the structure constants are returned unchanged (bitwise).
+    G = L L^T, with new_a = sum_i (L^{-T})[i, a] old_i; the result has the
+    identity metric and keeps the hints.  An algebra whose metric is
+    already the identity is returned itself.
     """
     G = L.metric
     if _is_identity(G):
-        return FramedAlgebra(
-            name=L.name, dim=L.dim, c=L.structure_tensor, provenance=np.eye(L.dim)
-        )
+        return L
     _check_metric(G)
     low = np.linalg.cholesky(G)
     M = np.linalg.inv(low).T
@@ -242,8 +214,7 @@ def orthonormal_frame(L: MetricLieAlgebra) -> FramedAlgebra:
     n = L.dim
     c = (M.T @ (beta @ low).reshape(n, n * n)).reshape(n, n, n)
     c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
-    c = c.transpose(1, 0, 2)
-    return FramedAlgebra(name=L.name, dim=L.dim, c=c, provenance=M)
+    return replace(L, c=c.transpose(1, 0, 2), metric=np.eye(n))
 
 
 def derivation_basis(L) -> list[np.ndarray]:

@@ -116,23 +116,24 @@ def analyze_file(
     gaussian_plan = None
     gaussian_residual = None
     if cert.accepted:
-        with _naming(path), _stage(timings, "stability"):
-            ext_summary = None
-            if extend and soliton.extension_obstruction(cert) is None:
-                ext_summary = soliton.rank_one_extension(F, cert).summary
-            report = stability.stability_report(F, summary, cert, ext_summary)
-        if gaussian_mode is not None:
-            gaussian_plan = soliton.gaussian_extension_dimension(
-                summary,
-                summary.riemann,
-                cert,
-                report.max_q,
-                mode=gaussian_mode,
-                ignore_stability=ignore_stability,
-            )
-            gaussian_residual = soliton.verify_gaussian_product(
-                summary, cert, gaussian_plan.k
-            ).residual
+        with _naming(path):
+            with _stage(timings, "stability"):
+                ext_summary = None
+                if extend and soliton.extension_obstruction(cert) is None:
+                    ext_summary = soliton.rank_one_extension(F, cert).summary
+                report = stability.stability_report(F, summary, cert, ext_summary)
+            if gaussian_mode is not None:
+                gaussian_plan = soliton.gaussian_extension_dimension(
+                    summary,
+                    summary.riemann,
+                    cert,
+                    report.max_q,
+                    mode=gaussian_mode,
+                    ignore_stability=ignore_stability,
+                )
+                gaussian_residual = soliton.verify_gaussian_product(
+                    summary, cert, gaussian_plan.k
+                ).residual
 
     return AnalysisRecord(
         name=F.name,
@@ -279,7 +280,7 @@ def cmd_flow(args) -> int:
         return EXIT_NOT_SOLITON
     try:
         config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
-        with _naming(args.path, (PositivityLost, Blowup)):  # the flow's state errors
+        with _naming(args.path, (PositivityLost, Blowup, NotExpanding)):  # the flow's errors
             trials = flow.perturbation_experiment(
                 F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
             )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FramedAlgebra
+from .algebra import MetricLieAlgebra
 from .errors import AlgebraFormatError, ContractionMismatch
 
 CROSS_CHECK_TOL = 1e-10
@@ -95,12 +95,14 @@ def ricci_tensor(beta: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
     return first - second - 0.5 * killing - (U + U.swapaxes(-1, -2))
 
 
-def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:
-    """Assemble Ricci, scalar curvature, and the Riemann tensor.
+def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
+    """Assemble Ricci, scalar curvature, and the Riemann tensor of an
+    algebra in an orthonormal frame.
 
     Raises AlgebraFormatError when a curvature quantity is not finite, and
     ContractionMismatch when the closed-form Ricci and the Riemann
-    contraction sum_i R[i,j,k,i] disagree beyond CROSS_CHECK_TOL.
+    contraction sum_i R[i,j,k,i] disagree beyond CROSS_CHECK_TOL max|c|^2
+    (Ricci is quadratic in c), written so that it cannot overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gamma = _gamma(F.c)
@@ -117,7 +119,8 @@ def curvature_summary(F: FramedAlgebra) -> CurvatureSummary:
                 f"curvature stage: {quantity} is not finite "
                 "(structure constants out of floating-point range)"
             )
-    if residual > CROSS_CHECK_TOL:
+    scale = float(np.max(np.abs(F.c)))
+    if scale != 0 and not residual / scale <= CROSS_CHECK_TOL * scale:
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FramedAlgebra, MetricLieAlgebra, orthonormal_frame
+from .algebra import MetricLieAlgebra, orthonormal_frame
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
 from .errors import EinsteinVerificationFailed, NotExpanding
 
@@ -58,7 +58,7 @@ class GaussianProductReport:
 
 
 def solve_algebraic_soliton(
-    F: FramedAlgebra,
+    F: MetricLieAlgebra,
     summary: CurvatureSummary,
     ders: list[np.ndarray],
     lambda_hint: float | None = None,
@@ -129,7 +129,7 @@ def extension_obstruction(cert: SolitonCertificate) -> str | None:
     return None
 
 
-def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> EinsteinExtension:
+def rank_one_extension(F: MetricLieAlgebra, cert: SolitonCertificate) -> EinsteinExtension:
     """One-dimensional solvable extension s = span(A) + n with ad A = alpha D.
 
     alpha = sqrt(-lambda / tr D^2) is the unique scaling making the
@@ -147,16 +147,10 @@ def rank_one_extension(F: FramedAlgebra, cert: SolitonCertificate) -> EinsteinEx
     alpha = float(np.sqrt(-cert.lam / np.trace(D @ D)))
     c = np.zeros((n + 1, n + 1, n + 1))
     c[:n, :n, :n] = F.c
-    # [e_j, A] = -alpha D e_j, with A the new last basis vector
+    # [A, e_j] = alpha D e_j, with A the new last basis vector
     c[:n, n, :n] = -alpha * D.T
-    idx = np.array(np.nonzero(c))
-    idx = idx[:, idx[0] < idx[1]]
-    ext = MetricLieAlgebra(
-        name=f"{F.name}+solvext",
-        dim=n + 1,
-        brackets=tuple(zip(*(idx + 1).tolist(), c[tuple(idx)].tolist())),
-        metric=np.eye(n + 1),
-    )
+    c[n, :n, :n] = alpha * D.T
+    ext = MetricLieAlgebra(f"{F.name}+solvext", n + 1, c, np.eye(n + 1))
     summary = curvature_summary(orthonormal_frame(ext))
     ecert = check_einstein(summary)
     if not ecert.accepted or abs(ecert.lam - cert.lam) > CERT_TOL:

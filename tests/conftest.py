@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,14 +26,10 @@ def random_solvable(rng, n):
     matrix; always satisfies the Jacobi identity."""
     m = n - 1
     D = rng.standard_normal((m, m))
-    entries = []
-    for j in range(m):
-        for k in range(m):
-            if D[k, j] != 0.0:
-                entries.append((j + 1, n, k + 1, -float(D[k, j])))
-    return algebra.MetricLieAlgebra(
-        name=f"rand_solv_{n}", dim=n, brackets=tuple(entries), metric=np.eye(n)
-    )
+    c = np.zeros((n, n, n))
+    c[:m, m, :m] = -D.T  # [e_j, e_n] = -D e_j
+    c[m, :m, :m] = D.T
+    return algebra.MetricLieAlgebra(f"rand_solv_{n}", n, c, np.eye(n))
 
 
 def random_orthogonal(rng, n):
@@ -42,8 +39,7 @@ def random_orthogonal(rng, n):
 
 def conjugate_framed(F, Q):
     """Re-express an orthonormal frame in the rotated basis new_a = sum Q[i,a] e_i."""
-    c = np.einsum("ia,jb,kc,ijk->abc", Q, Q, Q, F.c)
-    return algebra.FramedAlgebra(name=F.name, dim=F.dim, c=c, provenance=Q)
+    return replace(F, c=np.einsum("ia,jb,kc,ijk->abc", Q, Q, Q, F.c))
 
 
 @pytest.fixture

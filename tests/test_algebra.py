@@ -22,14 +22,24 @@ H3_TEXT = json.dumps({"name": "h3", "dim": 3, "brackets": [[1, 2, 3, 1.0]]})
 def test_parse_h3():
     L = algebra.parse_algebra(H3_TEXT)
     assert L.dim == 3
-    assert L.brackets == ((1, 2, 3, 1.0),)
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    assert np.array_equal(L.c, c)
     assert np.array_equal(L.metric, np.eye(3))
+
+
+def test_parse_gives_exactly_antisymmetric_tensor(rng):
+    entries = [[i, j, k, float(rng.standard_normal())]
+               for i in range(1, 6) for j in range(i + 1, 6) for k in range(1, 6)]
+    L = algebra.parse_algebra(json.dumps({"dim": 5, "brackets": entries}))
+    assert np.array_equal(L.c, -L.c.transpose(1, 0, 2))
+    assert [L.c[i - 1, j - 1, k - 1] for i, j, k, _ in entries] == [v for *_, v in entries]
 
 
 def test_parse_abelian_empty_brackets():
     L = algebra.parse_algebra(json.dumps({"dim": 2, "brackets": []}))
     assert L.dim == 2
-    assert L.brackets == ()
+    assert L.c.shape == (2, 2, 2)
     assert np.max(np.abs(L.bracket_tensor)) == 0.0
 
 
@@ -91,7 +101,7 @@ def test_jacobi_check_is_scale_free(rng, s):
     assert not algebra.validate_algebra(algebra.parse_algebra(json.dumps(doc))).ok
     # a rotated solv4 carries round-off of order eps * s^2 in its residual
     F = conjugate_framed(framed("solv4"), random_orthogonal(rng, 4))
-    scaled = algebra.FramedAlgebra(name=F.name, dim=4, c=s * F.c, provenance=F.provenance)
+    scaled = replace(F, c=s * F.c)
     assert algebra.validate_algebra(scaled).ok
 
 
@@ -101,10 +111,21 @@ def test_validate_catalog():
 
 
 def test_orthonormal_frame_identity_metric_bitwise():
+    # the algebra itself, not a copy: a transposed view from the general
+    # path would change the summation order of every later contraction
     L = catalog.load("heisenberg3")
+    assert algebra.orthonormal_frame(L) is L
+
+
+def test_orthonormal_frame_general_metric_keeps_hints(rng):
+    G = rng.standard_normal((3, 3))
+    doc = {"dim": 3, "brackets": [[1, 2, 3, 1.0]], "metric": (G @ G.T + np.eye(3)).tolist(),
+           "hints": {"lambda": -1.5, "note": "kept"}}
+    L = algebra.parse_algebra(json.dumps(doc))
     F = algebra.orthonormal_frame(L)
-    assert np.array_equal(F.c, L.structure_tensor)
-    assert np.array_equal(F.c, algebra.orthonormal_frame(L).c)
+    assert np.array_equal(F.metric, np.eye(3))
+    assert F.hints == L.hints and F.name == L.name
+    assert algebra.orthonormal_frame(F) is F
 
 
 def test_orthonormal_frame_abelian_scaled_metric():
@@ -134,15 +155,7 @@ def test_orthonormal_frame_preserves_jacobi(rng):
         L = random_solvable(rng, n)
         G = rng.standard_normal((n, n))
         G = G @ G.T + n * np.eye(n)
-        c = np.einsum("ijm,mk->ijk", L.bracket_tensor, G)
-        entries = tuple(
-            (i + 1, j + 1, k + 1, float(c[i, j, k]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(n)
-            if c[i, j, k] != 0.0
-        )
-        L = algebra.MetricLieAlgebra(L.name, n, entries, G)
+        L = replace(L, c=np.einsum("ijm,mk->ijk", L.bracket_tensor, G), metric=G)
         assert algebra.jacobi_residual(L.bracket_tensor) <= 1e-12
         F = algebra.orthonormal_frame(L)
         assert algebra.jacobi_residual(F.c) <= 1e-10
@@ -248,7 +261,7 @@ def test_structure_profile_solv4():
     # every bracket scale (tr ad is compared with the scale of the brackets)
     L = catalog.load("solv4")
     for s in (1.0, 1e-13, 1e-20, 1e6):
-        scaled = replace(L, brackets=tuple((i, j, k, s * v) for i, j, k, v in L.brackets))
+        scaled = replace(L, c=s * L.c)
         p = algebra.structure_profile(scaled)
         assert p.step == 0, s
         assert not p.nilpotent, s

@@ -16,11 +16,11 @@ from solstab.cli import (
 )
 
 
-NOT_EXPANDING_SU2 = "error: not expanding: lambda=0.5\n"
-
-
 def cat(name):
     return str(catalog.catalog_path(name))
+
+
+NOT_EXPANDING_SU2 = f"error: {cat('su2')}: not expanding: lambda=0.5\n"  # the path once
 
 
 def run(capsys, *argv):
@@ -324,6 +324,15 @@ def test_non_finite_curvature_is_input_error(tmp_path, capsys):
     assert rows[1].startswith("huge ") and "error: " in rows[1]
     assert rows[1].count(path) == 1
     assert "0.569" in rows[0]
+
+
+def test_thin_metric_passes_the_ricci_cross_check(tmp_path, capsys):
+    # the frame's structure constants are of order 1e3, so the two Ricci
+    # routes differ by round-off of order eps * 1e6, above any absolute bound
+    doc = {**H3, "metric": [[1, 0, 0], [0, 1e-6, 0], [0, 0, 1]]}
+    code, out, err = run(capsys, "analyze", write_alg(tmp_path, "thin", doc), "--extend")
+    assert (code, err) == (EXIT_STABLE, "")
+    assert out.endswith("verdict: stable\n")
 
 
 def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):

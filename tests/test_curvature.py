@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,14 @@ def test_scal_invariant_under_orthogonal_frame_change(rng):
             assert got == pytest.approx(expected, abs=1e-10), name
 
 
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e4, 1e6])
+def test_cross_check_is_scale_free(rng, s):
+    # a rotated solv4 carries round-off of order eps * s^2 in both Ricci routes
+    F = conjugate_framed(framed("solv4"), random_orthogonal(rng, 4))
+    summary = curvature.curvature_summary(replace(F, c=s * F.c))
+    assert np.max(np.abs(summary.ric + 1.5 * s**2 * np.eye(4))) <= 1e-12 * s**2
+
+
 def test_contraction_mismatch_raises():
     # deliberately corrupted structure constants are not antisymmetric and
     # break the convention the two Ricci routes share
@@ -145,6 +155,6 @@ def test_contraction_mismatch_raises():
     c[0, 1, 2] = 1.0
     c[1, 0, 2] = -1.0
     c[2, 2, 0] = 0.7  # corruption
-    F = algebra.FramedAlgebra(name="bad", dim=3, c=c, provenance=np.eye(3))
+    F = algebra.MetricLieAlgebra("bad", 3, c, np.eye(3))
     with pytest.raises(ContractionMismatch):
         curvature.curvature_summary(F)

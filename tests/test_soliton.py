@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,11 +82,11 @@ def test_rank_one_extension_h3():
     assert soliton.extension_obstruction(cert) is None
     ext = soliton.rank_one_extension(F, cert)
     assert ext.dim == 4
-    got = {(i, j, k): v for i, j, k, v in ext.brackets}
-    assert got[(1, 2, 3)] == pytest.approx(1.0)
-    assert got[(1, 4, 1)] == pytest.approx(-0.5)  # [A, e1] = e1 / 2
-    assert got[(2, 4, 2)] == pytest.approx(-0.5)
-    assert got[(3, 4, 3)] == pytest.approx(-1.0)
+    assert ext.c[0, 1, 2] == pytest.approx(1.0)
+    assert ext.c[0, 3, 0] == pytest.approx(-0.5)  # [A, e1] = e1 / 2
+    assert ext.c[1, 3, 1] == pytest.approx(-0.5)
+    assert ext.c[2, 3, 2] == pytest.approx(-1.0)
+    assert np.array_equal(ext.c, -ext.c.transpose(1, 0, 2))
     summary = curvature.curvature_summary(algebra.orthonormal_frame(ext))
     ecert = soliton.check_einstein(summary)
     assert ecert.accepted
@@ -97,10 +99,9 @@ def test_rank_one_extension_abelian_gives_hyperbolic_space():
     ext = soliton.rank_one_extension(F, cert)
     summary = curvature.curvature_summary(algebra.orthonormal_frame(ext))
     assert np.allclose(summary.ric, -np.eye(4), atol=1e-8)
-    got = {(i, j, k): v for i, j, k, v in ext.brackets}
     alpha = 1.0 / np.sqrt(3.0)
-    for j in (1, 2, 3):
-        assert got[(j, 4, j)] == pytest.approx(-alpha)
+    for j in range(3):
+        assert ext.c[j, 3, j] == pytest.approx(-alpha)
 
 
 def test_rank_one_extension_rejects_zero_trace():
@@ -120,6 +121,23 @@ def test_extension_einstein_for_catalog_nilsolitons():
         )
         assert ecert.accepted
         assert ecert.lam == pytest.approx(cert.lam, abs=1e-8)
+
+
+def test_extension_einstein_under_random_metric(rng):
+    # the brackets of h3 under a random inner product G, so that the frame's
+    # tensor is dense; structure constants are G-relative, <[e_i,e_j], e_k>
+    X = rng.standard_normal((3, 3))
+    G = X @ X.T + np.eye(3)
+    h3 = catalog.load("heisenberg3")
+    F = algebra.orthonormal_frame(replace(h3, c=np.einsum("ijm,mk->ijk", h3.c, G), metric=G))
+    summary = curvature.curvature_summary(F)
+    cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+    ext = soliton.rank_one_extension(F, cert)
+    ecert = soliton.check_einstein(ext.summary)
+    assert ecert.accepted
+    assert ecert.lam == pytest.approx(cert.lam, abs=1e-10)
+    # [x, y] = s z in some orthonormal basis gives lambda = -3/2 s^2 = -3/4 |c|^2
+    assert cert.lam == pytest.approx(-0.75 * np.sum(F.c ** 2), rel=1e-12)
 
 
 def test_gaussian_flat_r2_paper_bound():
