@@ -18,7 +18,7 @@ from solstab.cli import analyze_file, record_row, TABLE_COLUMNS
 # ---------------------------------------------------------------------------
 F = algebra.orthonormal_frame(catalog.load("heisenberg5"))
 summary = curvature.curvature_summary(F)
-cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+cert = soliton.certify_soliton(F, summary)
 
 basis = stability.sym2_basis(F.dim)  # dim Sym^2 = n(n+1)/2 = 15
 form = stability.stability_form(summary, basis)

@@ -22,9 +22,8 @@ def analyze(name, lambda_hint=None):
     F = algebra.orthonormal_frame(catalog.load(name))
     summary = curvature.curvature_summary(F)
     hints = catalog.load_hints(name)
-    cert = soliton.solve_algebraic_soliton(
-        F, summary, algebra.derivation_basis(F),
-        lambda_hint=lambda_hint or hints.get("lambda"),
+    cert = soliton.certify_soliton(
+        F, summary, lambda_hint=lambda_hint or hints.get("lambda")
     )
     form = stability.stability_form(summary, stability.sym2_basis(F.dim))
     return F, summary, cert, stability.max_eigenvalue(form.S)
@@ -77,7 +76,7 @@ for t in np.linspace(1.0, 0.2, 5):
     L = algebra.parse_algebra(json.dumps(doc))
     Ft = algebra.orthonormal_frame(L)
     st = curvature.curvature_summary(Ft)
-    ct = soliton.solve_algebraic_soliton(Ft, st, algebra.derivation_basis(Ft))
+    ct = soliton.certify_soliton(Ft, st)
     plan = soliton.gaussian_extension_dimension(
         st, st.riemann, ct, np.inf, mode="paper-bound", ignore_stability=True
     )

@@ -13,7 +13,7 @@ from solstab import algebra, catalog, curvature, flow, soliton
 
 F = algebra.orthonormal_frame(catalog.load("heisenberg3"))
 summary = curvature.curvature_summary(F)
-cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+cert = soliton.certify_soliton(F, summary)
 
 # ---------------------------------------------------------------------------
 # 1. The soliton is a numerical fixed point.

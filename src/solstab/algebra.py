@@ -4,8 +4,8 @@ An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
 product G on the basis (identity by default), and held as its dense
 structure tensor.  This module validates the Jacobi identity, moves the
-tensor into an orthonormal frame, computes the derivation algebra, and
-reports structural invariants (nilpotency step, unimodularity).
+tensor into an orthonormal frame, computes derivation defects and the
+derivation algebra, and reports structural invariants (step, unimodularity).
 """
 
 from __future__ import annotations
@@ -206,13 +206,11 @@ def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
     if _is_identity(G):
         return L
     _check_metric(G)
-    low = np.linalg.cholesky(G)
-    M = np.linalg.inv(low).T
-    beta = L.bracket_tensor
-    # <[new_a, new_b], new_c> with <old_m, new_c> = (G M)_{mc} = L_{mc};
-    # contract i, then j, with M as matrix products on (n, n^2) reshapes
+    M = np.linalg.inv(np.linalg.cholesky(G)).T
+    # <[new_a, new_b], new_c> = sum c[i,j,k] M[i,a] M[j,b] M[k,c]; contract
+    # k, then i, then j, as matrix products on (n, n^2) reshapes
     n = L.dim
-    c = (M.T @ (beta @ low).reshape(n, n * n)).reshape(n, n, n)
+    c = (M.T @ (L.c @ M).reshape(n, n * n)).reshape(n, n, n)
     c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
     return replace(L, c=c.transpose(1, 0, 2), metric=np.eye(n))
 
@@ -249,14 +247,14 @@ def derivation_basis(L) -> list[np.ndarray]:
     return [vh[r].reshape(n, n) for r in range(rank, n * n)]
 
 
-def derivation_residual(L, D: np.ndarray) -> float:
-    """Max violation of the derivation identity over basis pairs i < j."""
-    beta = L.bracket_tensor
-    lhs = np.einsum("ijm,km->ijk", beta, D)
-    rhs = np.einsum("pi,pjk->ijk", D, beta) + np.einsum("pj,ipk->ijk", D, beta)
-    diff = lhs - rhs
-    iu = np.triu_indices(beta.shape[0], k=1)
-    return float(np.max(np.abs(diff[iu]))) if iu[0].size else 0.0
+def derivation_defect(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """delta(X)[i,j,k]: component k of X[e_i,e_j] - [X e_i, e_j] - [e_i, X e_j].
+
+    X is a derivation exactly when delta(X) = 0.  delta is linear in X, and
+    delta(I) = -beta.
+    """
+    return (np.einsum("ijm,km->ijk", beta, X) - np.einsum("pi,pjk->ijk", X, beta)
+            - np.einsum("pj,ipk->ijk", X, beta))
 
 
 def structure_profile(L) -> StructureProfile:

@@ -93,10 +93,7 @@ def _certify(path, timings: dict[str, float]):
             F = algebra.orthonormal_frame(L)
             summary = curvature.curvature_summary(F)
         with _stage(timings, "soliton"):
-            ders = algebra.derivation_basis(F)
-            cert = soliton.solve_algebraic_soliton(
-                F, summary, ders, lambda_hint=L.hints.get("lambda")
-            )
+            cert = soliton.certify_soliton(F, summary, lambda_hint=L.hints.get("lambda"))
     return F, summary, cert
 
 
@@ -147,7 +144,7 @@ def analyze_file(
 
 
 def _fmt_exact(x: float) -> str:
-    if abs(x) < 1e-9:  # least-squares noise around an exact zero
+    if abs(x) < 1e-9:  # rounding noise around an exact zero
         x = 0.0
     return f"{x:g}"
 

@@ -161,6 +161,42 @@ def test_orthonormal_frame_preserves_jacobi(rng):
         assert algebra.jacobi_residual(F.c) <= 1e-10
 
 
+def test_derivation_defect_identity_and_brackets(rng):
+    F = algebra.orthonormal_frame(random_solvable(rng, 5))
+    c = F.c
+    assert np.array_equal(algebra.derivation_defect(c, np.eye(5)), -c)
+
+    def bracket(x, y):
+        return np.einsum("i,j,ijk->k", x, y, c)
+
+    X = rng.standard_normal((5, 5))
+    delta = algebra.derivation_defect(c, X)
+    E = np.eye(5)
+    for i in range(5):
+        for j in range(5):
+            want = X @ bracket(E[i], E[j]) - bracket(X @ E[i], E[j]) - bracket(E[i], X @ E[j])
+            assert np.max(np.abs(delta[i, j] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_orthonormal_frame_ill_conditioned_metric(rng, name):
+    # the basis e'_a = sum_i P[i,a] e_i of an orthonormal frame has the Gram
+    # matrix G = P^T P, of condition 1e8 here, and the constants sum P P P c.
+    # Framing it gives an orthogonally equivalent tensor, so the same norm,
+    # up to the rounding of the re-expressed constants, about eps cond(G);
+    # raising an index with inv(G) first lost 3e-6 to 1.5e-5.
+    F = framed(name)
+    n = F.dim
+    norm = np.linalg.norm(F.c)
+    for _ in range(5):
+        P = random_orthogonal(rng, n) @ np.diag(np.logspace(0, 4, n)) @ random_orthogonal(rng, n)
+        c = np.einsum("ia,jb,kc,ijk->abc", P, P, P, F.c)
+        G = P.T @ P  # the halved sums below are exactly (anti)symmetric
+        L = algebra.MetricLieAlgebra(name, n, 0.5 * (c - c.transpose(1, 0, 2)), 0.5 * (G + G.T))
+        framed_norm = np.linalg.norm(algebra.orthonormal_frame(L).c)
+        assert abs(framed_norm - norm) <= 1e-7 * norm
+
+
 def test_derivation_basis_abelian_r2():
     L = algebra.parse_algebra(json.dumps({"dim": 2, "brackets": []}))
     basis = algebra.derivation_basis(L)
@@ -177,7 +213,7 @@ def test_derivation_basis_h3():
     coef, *_ = np.linalg.lstsq(A, target, rcond=None)
     assert np.max(np.abs(A @ coef - target)) <= 1e-10
     for D in basis:
-        assert algebra.derivation_residual(L, D) <= 1e-10
+        assert np.max(np.abs(algebra.derivation_defect(L.c, D))) <= 1e-10
 
 
 def test_derivation_basis_su2():
@@ -185,7 +221,7 @@ def test_derivation_basis_su2():
     basis = algebra.derivation_basis(L)
     assert len(basis) == 3  # semisimple: inner derivations only
     for D in basis:
-        assert algebra.derivation_residual(L, D) <= 1e-10
+        assert np.max(np.abs(algebra.derivation_defect(L.c, D))) <= 1e-10
 
 
 def test_derivation_basis_affine_plane():
@@ -195,7 +231,7 @@ def test_derivation_basis_affine_plane():
     basis = algebra.derivation_basis(L)
     assert len(basis) == 2  # Der = ad(g) for this algebra
     for D in basis:
-        assert algebra.derivation_residual(L, D) <= 1e-10
+        assert np.max(np.abs(algebra.derivation_defect(L.c, D))) <= 1e-10
 
 
 def _scaled_h3(t):

@@ -15,6 +15,8 @@ from solstab.cli import (
     main,
 )
 
+from conftest import conjugate_framed, framed, random_orthogonal
+
 
 def cat(name):
     return str(catalog.catalog_path(name))
@@ -263,6 +265,58 @@ def test_degenerate_abelian_uses_hint(capsys):
 H3 = {"dim": 3, "brackets": [[1, 2, 3, 1.0]]}
 
 
+# ad e3 is a Jordan block, so no lambda makes Ric - lambda I a derivation
+JORDAN3 = {"name": "jordan3", "dim": 3, "brackets": [[1, 3, 1, -1], [2, 3, 1, -1], [2, 3, 2, -1]]}
+
+
+def test_non_soliton_through_every_output(tmp_path, capsys):
+    path = write_alg(tmp_path, "jordan3", JORDAN3)
+    code, out, _ = run(capsys, "analyze", path)
+    assert code == EXIT_NOT_SOLITON
+    assert "not a soliton (residual 1.333e+00)" in out
+    assert "verdict: not-a-soliton" in out
+
+    code, out, _ = run(capsys, "analyze", path, "--format", "json")
+    assert code == EXIT_NOT_SOLITON
+    doc = json.loads(out)
+    assert doc["accepted"] is False and doc["verdict"] == "not-a-soliton"
+    assert doc["lambda"] == pytest.approx(-17 / 6, rel=1e-12)
+    assert "stability" not in doc
+
+    write_alg(tmp_path, "h3", H3)
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    assert code == EXIT_STABLE
+    rows = out.splitlines()[1:]
+    assert rows[0].split()[1:] == ["2", "-1.5", "4", "0.569", "✓", "1.000", "✓"]
+    assert rows[1].split()[0] == "jordan3"
+    assert "not a soliton (residual 1.333e+00)" in rows[1]
+
+
+def _rotated_copy(tmp_path, name, Q, s):
+    F = conjugate_framed(framed(name), Q)
+    n = F.dim
+    entries = [[i + 1, j + 1, k + 1, s * float(F.c[i, j, k])]
+               for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    return write_alg(tmp_path, f"{name}_{s:g}", {"dim": n, "brackets": entries})
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "solv4"])
+def test_verdict_does_not_depend_on_bracket_scale(tmp_path, capsys, rng, name):
+    Q = random_orthogonal(rng, catalog.load(name).dim)
+    lams = []
+    for s in (1e-3, 1.0, 1e2, 1e4, 1e6):
+        code, out, err = run(capsys, "analyze", _rotated_copy(tmp_path, name, Q, s),
+                             "--extend", "--format", "json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"], err) == (EXIT_STABLE, "stable", ""), s
+        lams.append(doc["lambda"] / s**2)
+    assert max(lams) - min(lams) <= 1e-12 * abs(lams[1])
+    # at 1e-6 the margins are of order 1e-12, inside the absolute dead zone
+    # of the stability verdict, so only an input error would be wrong
+    code, _, _ = run(capsys, "analyze", _rotated_copy(tmp_path, name, Q, 1e-6), "--extend")
+    assert code != EXIT_INPUT_ERROR
+
+
 @pytest.mark.parametrize(
     "change, named",
     [
@@ -398,11 +452,16 @@ def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
         monkeypatch, (curvature, "curvature_summary"), (soliton, "curvature_summary")
     )
     profiles = _count_calls(monkeypatch, (algebra, "structure_profile"))
+    # the Der(g) basis and the least-squares fit are the reference only
+    reference = _count_calls(
+        monkeypatch, (algebra, "derivation_basis"), (soliton, "solve_algebraic_soliton")
+    )
     code, _, _ = run(capsys, "analyze", cat("heisenberg3"), "--extend", "--gaussian")
     assert code == EXIT_STABLE
     assert summaries["calls"] == 2  # the base and its Einstein extension
     assert decodes["calls"] == 1
     assert profiles["calls"] == 1
+    assert reference["calls"] == 0
 
     decodes["calls"] = 0
     eigen = _count_calls(monkeypatch, (stability, "jacobi_eigenvalues"))
@@ -413,3 +472,4 @@ def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
     assert eigen["calls"] == 0
     steps = 50
     assert ricci["calls"] == 4 * steps + 1  # each point's defect is evaluated once
+    assert reference["calls"] == 0

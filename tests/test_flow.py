@@ -10,9 +10,7 @@ from conftest import framed, heisenberg15, random_solvable
 def certified(name, lambda_hint=None):
     F = framed(name)
     summary = curvature.curvature_summary(F)
-    cert = soliton.solve_algebraic_soliton(
-        F, summary, algebra.derivation_basis(F), lambda_hint=lambda_hint
-    )
+    cert = soliton.certify_soliton(F, summary, lambda_hint=lambda_hint)
     return F, cert
 
 

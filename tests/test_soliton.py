@@ -6,16 +6,14 @@ import pytest
 from solstab import algebra, catalog, curvature, soliton, stability
 from solstab.errors import NotExpanding
 
-from conftest import conjugate_framed, framed, random_orthogonal
+from conftest import conjugate_framed, framed, random_orthogonal, random_solvable
 from oracles import nilsoliton_identity_residual
 
 
 def certify(name, lambda_hint=None):
     F = framed(name)
     summary = curvature.curvature_summary(F)
-    ders = algebra.derivation_basis(F)
-    cert = soliton.solve_algebraic_soliton(F, summary, ders, lambda_hint=lambda_hint)
-    return F, summary, cert
+    return F, summary, soliton.certify_soliton(F, summary, lambda_hint=lambda_hint)
 
 
 def test_h3_certificate():
@@ -131,7 +129,7 @@ def test_extension_einstein_under_random_metric(rng):
     h3 = catalog.load("heisenberg3")
     F = algebra.orthonormal_frame(replace(h3, c=np.einsum("ijm,mk->ijk", h3.c, G), metric=G))
     summary = curvature.curvature_summary(F)
-    cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+    cert = soliton.certify_soliton(F, summary)
     ext = soliton.rank_one_extension(F, cert)
     ecert = soliton.check_einstein(ext.summary)
     assert ecert.accepted
@@ -228,8 +226,7 @@ def test_gaussian_monotone_under_metric_rescaling():
         L = algebra.parse_algebra(json.dumps(doc))
         F = algebra.orthonormal_frame(L)
         summary = curvature.curvature_summary(F)
-        ders = algebra.derivation_basis(F)
-        cert = soliton.solve_algebraic_soliton(F, summary, ders)
+        cert = soliton.certify_soliton(F, summary)
         plan = soliton.gaussian_extension_dimension(
             summary, summary.riemann, cert, stability_max_q=np.inf,
             mode="paper-bound", ignore_stability=True,
@@ -256,10 +253,65 @@ def test_certificate_basis_covariance(rng):
     for _ in range(5):
         Q = random_orthogonal(rng, 3)
         Fc = conjugate_framed(F, Q)
-        sc = curvature.curvature_summary(Fc)
-        dc = algebra.derivation_basis(Fc)
-        cc = soliton.solve_algebraic_soliton(Fc, sc, dc)
+        cc = soliton.certify_soliton(Fc, curvature.curvature_summary(Fc))
         assert cc.accepted
         assert cc.lam == pytest.approx(cert.lam, abs=1e-10)
         # matrix of D in the rotated basis is Q^T D Q
         assert np.max(np.abs(cc.derivation - Q.T @ cert.derivation @ Q)) <= 1e-10
+
+
+def _reference_cases(rng):
+    """(frame, lambda hint): the catalog with its hints, then 240 random
+    solvable algebras of dims 2 to 7."""
+    for name in catalog.catalog_names():
+        F = framed(name)
+        yield F, F.hints.get("lambda")
+    for _ in range(240):
+        yield algebra.orthonormal_frame(random_solvable(rng, int(rng.integers(2, 8)))), None
+
+
+def test_certificate_matches_least_squares_reference(rng):
+    accepted = 0
+    for F, hint in _reference_cases(rng):
+        summary = curvature.curvature_summary(F)
+        cert = soliton.certify_soliton(F, summary, lambda_hint=hint)
+        ref = soliton.solve_algebraic_soliton(
+            F, summary, algebra.derivation_basis(F), lambda_hint=hint
+        )
+        assert cert.accepted is ref.accepted, F.name
+        assert cert.degenerate is ref.degenerate, F.name
+        if cert.accepted:
+            accepted += 1
+            unit = max(abs(ref.lam), float(np.max(np.abs(summary.ric))))
+            assert abs(cert.lam - ref.lam) <= 1e-12 * unit, F.name
+            assert np.max(np.abs(cert.derivation - ref.derivation)) <= 1e-12 * unit, F.name
+    assert accepted >= 20  # the catalog and every dim-2 algebra, a hyperbolic plane
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_flat_metric_is_a_steady_soliton_in_any_basis(rng, s):
+    # e(2), [e3, e1] = e2 and [e3, e2] = -e1, is flat: Ric = 0 exactly, but
+    # only to rounding in a rotated basis, so the acceptance bound must not
+    # scale with max|Ric|, and the round-off lambda is no expanding soliton
+    e2 = algebra.parse_algebra('{"dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}')
+    for _ in range(5):
+        F = conjugate_framed(e2, random_orthogonal(rng, 3))
+        F = replace(F, c=s * F.c)
+        cert = soliton.certify_soliton(F, curvature.curvature_summary(F))
+        assert cert.accepted and not cert.degenerate
+        assert cert.lam == 0.0 and not cert.expanding
+        assert "lambda < 0" in soliton.extension_obstruction(cert)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e6])
+def test_extension_guards_scale_with_the_brackets(s):
+    # brackets times s multiply lambda, D and cert.scale by s^2; below, a D
+    # >= 0 but for a round-off eigenvalue, then an Einstein metric's round-off D
+    _, _, cert = certify("heisenberg3")
+    t = s * s
+    for D, reason in ((np.diag([1.0, 1.0, -1e-15]), None),
+                      (1e-15 * np.diag([1.0, 1.0, 2.0]), "tr D > 0")):
+        scaled = replace(cert, lam=t * cert.lam, derivation=t * D,
+                         trace_D=t * float(np.trace(D)), scale=t * cert.scale)
+        got = soliton.extension_obstruction(scaled)
+        assert got is None if reason is None else reason in got

@@ -17,9 +17,7 @@ HYP4_MAX_RO = 1.0 / 3.0
 def certified(name, lambda_hint=None):
     F = framed(name)
     summary = curvature.curvature_summary(F)
-    cert = soliton.solve_algebraic_soliton(
-        F, summary, algebra.derivation_basis(F), lambda_hint=lambda_hint
-    )
+    cert = soliton.certify_soliton(F, summary, lambda_hint=lambda_hint)
     return F, summary, cert
 
 
@@ -160,7 +158,7 @@ def test_h15_extension_matches_bisection_oracle():
     # dim-16 rank-one extension
     F = algebra.orthonormal_frame(heisenberg15())
     summary = curvature.curvature_summary(F)
-    cert = soliton.solve_algebraic_soliton(F, summary, algebra.derivation_basis(F))
+    cert = soliton.certify_soliton(F, summary)
     ext_summary = soliton.rank_one_extension(F, cert).summary
     rep = stability.stability_report(F, summary, cert, ext_summary)
 
