@@ -60,8 +60,8 @@ for mode in ("sharp", "paper-bound"):
 #    Gaussian potential alone, so the residual never grows with k.
 # ---------------------------------------------------------------------------
 for k in (0, 3, 7):
-    report = soliton.verify_gaussian_product(summary, cert, k)
-    print(f"product with R^{k}: soliton residual {report.residual:.3e}")
+    residual = soliton.verify_gaussian_product(summary, cert, k)
+    print(f"product with R^{k}: soliton residual {residual:.3e}")
 
 # ---------------------------------------------------------------------------
 # 4. More expansion means fewer flat directions: shrink the metric (which

@@ -6,6 +6,7 @@ product G on the basis (identity by default), and held as its dense
 structure tensor.  This module validates the Jacobi identity, moves the
 tensor into an orthonormal frame, computes derivation defects and the
 derivation algebra, and reports structural invariants (step, unimodularity).
+It also holds every tolerance of the package, in one block of relative ones.
 """
 
 from __future__ import annotations
@@ -20,11 +21,26 @@ from .errors import AlgebraFormatError, MetricError
 
 MAX_DIM = 16
 
-# Rank / null-space decisions are made relative to the largest singular
-# value; catalog constants are exact small rationals or simple surds, far
-# from this threshold.
-RANK_TOL = 1e-10
-JACOBI_TOL = 1e-10  # times max|beta|^2: the Jacobi residual is quadratic
+# Every tolerance of solstab, each relative.  A check accepts a residual r
+# when within(r, TOL, unit**d).  The unit is max|c|^2 in the basis at hand,
+# SolitonCertificate.scale once certified; it is |lambda| when c = 0 and for
+# an Einstein certificate.  Ricci, curvature, lambda, D, q and the flow's
+# defect are of degree d = 1 in it, tr ad and the singular values of maps
+# linear in c of d = 1/2.  So no decision moves when the brackets are rescaled.
+ROUND_TOL = 1e-10  # rounding: Jacobi, Ricci cross-check (d = 1); ranks, tr ad (d = 1/2)
+CERT_TOL = 1e-8  # soliton and Einstein certificates, lambda = 0, extension guards, S = S^T (d = 1)
+TIE_TOL = 1e-9  # a verdict margin, or a printed lambda or tr D, this close to 0 is 0 (d = 1)
+DECAY_TOL = 1e-12  # a flow residual at or below this has decayed (d = 1)
+JITTER_TOL = 1e-13  # a flow residual that rises by less than this is still monotone (d = 1)
+METRIC_TOL = 1e-12  # asymmetry of an input metric G, in its own unit max|G| (d = 1)
+
+
+def within(residual, tol: float, unit):
+    """residual <= tol * unit, element-wise; the one comparison of every check.
+    Dividing first is overflow-safe: an overflowed residual fails against an
+    overflowed unit (inf / inf is NaN), and NaN always fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return residual / unit <= tol if unit else residual <= 0
 
 
 @dataclass(frozen=True)
@@ -177,12 +193,11 @@ def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
-    """Jacobi-identity diagnostics for a metric Lie algebra; the check
-    is res <= JACOBI_TOL max|beta|^2, written so that it cannot overflow."""
+    """Jacobi-identity diagnostics for a metric Lie algebra: the residual is
+    accepted up to ROUND_TOL max|beta|^2."""
     beta = L.bracket_tensor
     res, scale = jacobi_residual(beta), float(np.max(np.abs(beta)))
-    return AlgebraDiagnostics(jacobi_residual=res,
-                              ok=scale == 0 or res / scale <= JACOBI_TOL * scale)
+    return AlgebraDiagnostics(jacobi_residual=res, ok=within(res, ROUND_TOL, scale * scale))
 
 
 def require_jacobi(L) -> None:
@@ -220,7 +235,7 @@ def derivation_basis(L) -> list[np.ndarray]:
 
     Solves D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] for all i < j as the
     null space of the linear map on n x n matrices that sends D to the
-    defects, with singular-value thresholding at RANK_TOL relative to the
+    defects, with singular-value thresholding at ROUND_TOL relative to the
     largest singular value.  For abelian g every constraint vanishes and
     Der(g) = gl(n), returned as its standard basis.
     """
@@ -243,7 +258,7 @@ def derivation_basis(L) -> list[np.ndarray]:
     # vh must be square to hold the whole null space, which takes full
     # matrices when fewer constraint rows than unknowns are left
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = int(np.sum(~within(s, ROUND_TOL, s[0])))
     return [vh[r].reshape(n, n) for r in range(rank, n * n)]
 
 
@@ -269,7 +284,7 @@ def structure_profile(L) -> StructureProfile:
     return StructureProfile(
         step=step,
         nilpotent=step > 0,
-        unimodular=bool(np.max(np.abs(traces)) <= RANK_TOL * scale),
+        unimodular=bool(within(np.max(np.abs(traces)), ROUND_TOL, scale)),
     )
 
 
@@ -293,8 +308,7 @@ def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
 
 def _column_span(A: np.ndarray, scale: float) -> np.ndarray:
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    cutoff = RANK_TOL * max(float(s[0]), scale)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(~within(s, ROUND_TOL, max(float(s[0]), scale))))
     return u[:, :rank]
 
 
@@ -304,7 +318,7 @@ def _is_identity(G: np.ndarray) -> bool:
 
 
 def _check_metric(G: np.ndarray) -> None:
-    if np.max(np.abs(G - G.T)) > 1e-12:
+    if not within(np.max(np.abs(G - G.T)), METRIC_TOL, np.max(np.abs(G))):
         raise MetricError("metric is not symmetric")
     if np.linalg.eigvalsh(G).min() <= 0:
         raise MetricError("metric is not positive definite")

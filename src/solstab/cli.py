@@ -128,9 +128,7 @@ def analyze_file(
                     mode=gaussian_mode,
                     ignore_stability=ignore_stability,
                 )
-                gaussian_residual = soliton.verify_gaussian_product(
-                    summary, cert, gaussian_plan.k
-                ).residual
+                gaussian_residual = soliton.verify_gaussian_product(summary, cert, gaussian_plan.k)
 
     return AnalysisRecord(
         name=F.name,
@@ -143,10 +141,9 @@ def analyze_file(
     )
 
 
-def _fmt_exact(x: float) -> str:
-    if abs(x) < 1e-9:  # rounding noise around an exact zero
-        x = 0.0
-    return f"{x:g}"
+def _fmt_exact(x: float, unit: float) -> str:
+    """x in %g, or 0 for rounding noise around an exact zero (TIE_TOL units)."""
+    return f"{0.0 if algebra.within(abs(x), algebra.TIE_TOL, unit) else x:g}"
 
 
 def _fmt3(x: float | None) -> str:
@@ -169,8 +166,8 @@ def record_row(rec: AnalysisRecord) -> list[str]:
     return [
         rec.name,
         str(rec.profile.step),
-        _fmt_exact(r.lam),
-        _fmt_exact(r.trace_D),
+        _fmt_exact(r.lam, rec.certificate.scale),
+        _fmt_exact(r.trace_D, rec.certificate.scale),
         _fmt3(r.max_q),
         _fmt_verdict(r.q_verdict),
         _fmt3(r.max_Ro) if r.max_Ro is not None else "",
@@ -273,7 +270,7 @@ def cmd_table(args) -> int:
 def cmd_flow(args) -> int:
     F, _, cert = _certify(args.path, {})
     if not cert.accepted:
-        print(f"not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
+        print(f"{args.path}: not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
         return EXIT_NOT_SOLITON
     try:
         config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
@@ -303,10 +300,8 @@ def cmd_gaussian(args) -> int:
         ignore_stability=args.ignore_stability,
     )
     if rec.gaussian_plan is None:
-        print(
-            f"not a soliton: residual {rec.certificate.residual:.3e}",
-            file=sys.stderr,
-        )
+        print(f"{args.path}: not a soliton: residual {rec.certificate.residual:.3e}",
+              file=sys.stderr)
         return EXIT_NOT_SOLITON
     p = rec.gaussian_plan
     print(f"mode: {p.mode}")

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra
+from .algebra import ROUND_TOL, MetricLieAlgebra, within
 from .errors import AlgebraFormatError, ContractionMismatch
-
-CROSS_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,8 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
 
     Raises AlgebraFormatError when a curvature quantity is not finite, and
     ContractionMismatch when the closed-form Ricci and the Riemann
-    contraction sum_i R[i,j,k,i] disagree beyond CROSS_CHECK_TOL max|c|^2
-    (Ricci is quadratic in c), written so that it cannot overflow.
+    contraction sum_i R[i,j,k,i] disagree beyond ROUND_TOL max|c|^2 (Ricci is
+    quadratic in c).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gamma = _gamma(F.c)
@@ -120,7 +118,7 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
                 "(structure constants out of floating-point range)"
             )
     scale = float(np.max(np.abs(F.c)))
-    if scale != 0 and not residual / scale <= CROSS_CHECK_TOL * scale:
+    if not within(residual, ROUND_TOL, scale * scale):
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"
         )

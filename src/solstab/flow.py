@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import DECAY_TOL, JITTER_TOL, within
 from .curvature import ricci_tensor
 from .errors import Blowup, NotExpanding, PositivityLost
 from .soliton import SolitonCertificate
@@ -179,7 +180,9 @@ def perturbation_experiment(
     Trials are integrated in one stacked Runge-Kutta loop (identical
     stepping to integrating each alone).  The monitored quantity is the
     soliton residual, which is insensitive to the diffeomorphism ambiguity
-    that raw metric distance would suffer from.
+    that raw metric distance would suffer from.  It is of degree 2 in the
+    brackets, so its floors, DECAY_TOL and JITTER_TOL, are in the
+    certificate's unit ``cert.scale``.
     """
     if not cert.accepted:
         raise ValueError("certificate not accepted")
@@ -194,14 +197,14 @@ def perturbation_experiment(
     trace = integrate_flow(F, G, cert.lam, cert.derivation, config)
     residuals = np.array([s[1] for s in trace.samples])
     initial, final = residuals[0], residuals[-1]
-    # tiny floor: residuals at integrator precision jitter freely
-    violations = np.sum(residuals[1:] > residuals[:-1] + 1e-13, axis=0)
+    # residuals at integrator precision jitter freely
+    violations = np.sum(~within(residuals[1:] - residuals[:-1], JITTER_TOL, cert.scale), axis=0)
     return [
         TrialReport(
             trial=i,
             initial_residual=float(initial[i]),
             final_residual=float(final[i]),
-            decayed=bool(final[i] < initial[i] or final[i] <= 1e-12),
+            decayed=bool(final[i] < initial[i] or within(final[i], DECAY_TOL, cert.scale)),
             monotonicity_violations=int(violations[i]),
         )
         for i in range(n_trials)

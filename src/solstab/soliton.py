@@ -3,7 +3,8 @@
 Certifies Ric = lambda * id + D with D a derivation in closed form,
 certifies Einstein metrics, builds rank-one solvable Einstein extensions,
 and computes how many flat Gaussian directions must be added to force
-strict linear stability.  Every tolerance is relative.
+strict linear stability.  The tolerances are `algebra.CERT_TOL` in the
+certificate's unit, ``scale``.
 """
 
 from __future__ import annotations
@@ -12,19 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, derivation_defect, orthonormal_frame
+from .algebra import CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame, within
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
 from .errors import EinsteinVerificationFailed, NotExpanding
-
-# Relative acceptance tolerance for certificates: one order above the
-# linear-algebra tolerances, separating modeling error from numerical error.
-CERT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolitonCertificate:
     """(lambda, D = Ric - lambda I) with residual max|delta(D)|, accepted up
-    to CERT_TOL max|c|^3; ``scale`` = max|c|^2 is the unit of lambda and D."""
+    to CERT_TOL max|c|^3.  ``scale`` = max|c|^2, or |lambda| when c = 0, is
+    the unit of every later tolerance (see the block in `algebra`)."""
 
     lam: float
     derivation: np.ndarray
@@ -53,12 +51,6 @@ class GaussianExtensionPlan:
     bracket_value_at_k: float
 
 
-@dataclass(frozen=True)
-class GaussianProductReport:
-    k: int
-    residual: float
-
-
 def certify_soliton(
     F: MetricLieAlgebra, summary: CurvatureSummary, lambda_hint: float | None = None
 ) -> SolitonCertificate:
@@ -72,12 +64,13 @@ def certify_soliton(
         lam = float(lambda_hint)
     else:  # a steady soliton is flat, so a lambda within the tolerance is 0
         lam = -float(np.vdot(derivation_defect(u, ric), u) / np.vdot(u, u)) if s else 0.0
-        lam = 0.0 if abs(lam) <= CERT_TOL * s * s else lam
+        lam = 0.0 if within(abs(lam), CERT_TOL, s * s) else lam
     D = ric - lam * np.eye(F.dim)
     defect = float(np.max(np.abs(derivation_defect(u, D))))  # max|delta(D)| / s
+    unit = s * s or abs(lam)
     return SolitonCertificate(lam, D, s * defect, float(np.trace(D)),
-                              accepted=defect <= CERT_TOL * s * s, degenerate=not s,
-                              expanding=lam < 0, scale=s * s)
+                              accepted=within(defect, CERT_TOL, unit), degenerate=not s,
+                              expanding=lam < 0, scale=unit)
 
 
 def solve_algebraic_soliton(
@@ -87,7 +80,7 @@ def solve_algebraic_soliton(
     lambda_hint: float | None = None,
 ) -> SolitonCertificate:
     """Least-squares fit of Ric over span{I} + Der(g), residual
-    max|Ric - lambda I - D| up to CERT_TOL: the reference for the tests.
+    max|Ric - lambda I - D| up to CERT_TOL scale: the reference for the tests.
 
     Non-solitons yield a certificate with large residual rather than an
     error.  The identity is a derivation exactly when [x, y] = 2[x, y] for
@@ -110,26 +103,19 @@ def solve_algebraic_soliton(
     D = sum(c * d for c, d in zip(coef, ders))
 
     residual = float(np.max(np.abs(ric - lam * np.eye(n) - D)))
-    trace_D = float(np.trace(D))
-    return SolitonCertificate(
-        lam=lam,
-        derivation=D,
-        residual=residual,
-        trace_D=trace_D,
-        accepted=residual <= CERT_TOL,
-        degenerate=not np.any(F.c),
-        expanding=lam < 0,
-        scale=float(np.max(np.abs(F.c))) ** 2,
-    )
+    s = float(np.max(np.abs(F.c)))
+    unit = s * s or abs(lam)
+    return SolitonCertificate(lam, D, residual, float(np.trace(D)),
+                              accepted=within(residual, CERT_TOL, unit), degenerate=not s,
+                              expanding=lam < 0, scale=unit)
 
 
 def check_einstein(summary: CurvatureSummary) -> EinsteinCertificate:
-    """Certify Ric = lambda I with lambda = scal / n, up to CERT_TOL max|Ric|."""
-    n = summary.dim
-    lam = summary.scal / n
-    residual = float(np.max(np.abs(summary.ric - lam * np.eye(n))))
-    bound = CERT_TOL * float(np.max(np.abs(summary.ric)))
-    return EinsteinCertificate(lam=lam, residual=residual, accepted=residual <= bound)
+    """Certify Ric = lambda I with lambda = scal / n, up to CERT_TOL |lambda|:
+    an Einstein metric's unit is |lambda| = max|Ric|."""
+    lam = summary.scal / summary.dim
+    residual = float(np.max(np.abs(summary.ric - lam * np.eye(summary.dim))))
+    return EinsteinCertificate(lam, residual, accepted=within(residual, CERT_TOL, abs(lam)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -142,14 +128,14 @@ class EinsteinExtension(MetricLieAlgebra):
 def extension_obstruction(cert: SolitonCertificate) -> str | None:
     """Why ``cert`` admits no rank-one Einstein extension, or None if it does.
     The round-off D of an Einstein metric has none at any bracket scale."""
-    D, tol = cert.derivation, CERT_TOL * cert.scale
+    D = cert.derivation
     if not cert.accepted:
         return "certificate not accepted (residual too large)"
     if cert.lam >= 0:
         return f"extension requires lambda < 0, got {cert.lam}"
-    if cert.trace_D <= tol:
+    if within(cert.trace_D, CERT_TOL, cert.scale):
         return f"extension requires tr D > 0, got {cert.trace_D}"
-    if np.linalg.eigvalsh(0.5 * (D + D.T)).min() < -tol:
+    if not within(-np.linalg.eigvalsh(0.5 * (D + D.T)).min(), CERT_TOL, cert.scale):
         return "extension requires D positive semidefinite"
     return None
 
@@ -178,7 +164,7 @@ def rank_one_extension(F: MetricLieAlgebra, cert: SolitonCertificate) -> Einstei
     ext = MetricLieAlgebra(f"{F.name}+solvext", n + 1, c, np.eye(n + 1))
     summary = curvature_summary(orthonormal_frame(ext))
     ecert = check_einstein(summary)
-    if not ecert.accepted or abs(ecert.lam - cert.lam) > CERT_TOL * -cert.lam:
+    if not ecert.accepted or not within(abs(ecert.lam - cert.lam), CERT_TOL, cert.scale):
         raise EinsteinVerificationFailed(
             f"extension is not Einstein at lambda={cert.lam}: "
             f"residual {ecert.residual:.3e}, lambda {ecert.lam}"
@@ -229,13 +215,15 @@ def gaussian_extension_dimension(
         C1 = max(stability_max_q, 0.0)
         C2 = abs(cert.trace_D) / 2.0
 
-    already_stable = (not ignore_stability) and stability_max_q < 0.5 * cert.trace_D
-    if already_stable:
-        k = 0
-    else:
-        k = 0
+    k = 0
+    if ignore_stability or not stability_max_q < 0.5 * cert.trace_D:
+        # the real root of the bracket, then stepped with the comparison itself
+        # (monotone in k), so k is exactly the least count that satisfies it
+        k = max(0, int(-2.0 * (C1 + C2 + 1.0) / lam))
         while C1 + C2 + 0.5 * lam * k >= -1.0:
             k += 1
+        while k > 0 and C1 + C2 + 0.5 * lam * (k - 1) < -1.0:
+            k -= 1
     return GaussianExtensionPlan(
         C1=C1,
         C2=C2,
@@ -246,27 +234,16 @@ def gaussian_extension_dimension(
     )
 
 
-def verify_gaussian_product(
-    summary: CurvatureSummary, cert: SolitonCertificate, k: int
-) -> GaussianProductReport:
+def verify_gaussian_product(summary: CurvatureSummary, cert: SolitonCertificate, k: int) -> float:
     """Residual of the soliton equation on the product with k flat directions.
 
     ``summary`` is the curvature of the base.  The product Ricci is
     block-diagonal (Ric_M, 0) and the right side is block-diagonal
     (lambda I + D, lambda I + Hess f) with Hess f = -lambda I on the flat
-    factor, so the flat block cancels identically and the residual is that
-    of the base block, max|Ric - lambda I - D|.
+    factor, so the flat block cancels exactly and the residual is that of
+    the base block, max|Ric - lambda I - D|, whatever k is.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = summary.dim
-    m = n + k
-    ric_prod = np.zeros((m, m))
-    ric_prod[:n, :n] = summary.ric
-    rhs = np.zeros((m, m))
-    rhs[:n, :n] = cert.lam * np.eye(n) + cert.derivation
-    hess_f = -cert.lam * np.eye(k)
-    rhs[n:, n:] = cert.lam * np.eye(k) + hess_f
-    residual = float(np.max(np.abs(ric_prod - rhs)))
-    return GaussianProductReport(k=k, residual=residual)
+    return float(np.max(np.abs(summary.ric - (cert.lam * np.eye(summary.dim) + cert.derivation))))
 

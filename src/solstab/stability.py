@@ -5,8 +5,10 @@ q(h) = <Ro h + Ric o h, h> with (Ro h)_ij = R[i,p,q,j] h[p,q] and
 Ric = lambda I + D is certified strictly linearly stable when
 max q < tr(D) / 2 over unit symmetric 2-tensors; for Einstein metrics the
 criterion is max <Ro h, h> < -lambda.  Maxima are top eigenvalues of the
-form's matrix in an orthonormal basis of Sym^2, computed by LAPACK eigvalsh;
-a margin within VERDICT_TIE of zero is inconclusive.
+form's matrix in an orthonormal basis of Sym^2, computed by LAPACK eigvalsh.
+Both sides are of degree 2 in the brackets, so a margin is measured in the
+algebra's unit, SolitonCertificate.scale = max|c|^2: one within
+algebra.TIE_TOL units of zero is inconclusive, at every bracket scale.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import CERT_TOL, TIE_TOL, within
 from .curvature import CurvatureSummary
 from .errors import NotSymmetric
 from .soliton import SolitonCertificate
-
-# Strict inequalities at floating precision need an explicit dead zone:
-# margins within VERDICT_TIE of zero are reported as inconclusive (None).
-VERDICT_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,31 +95,32 @@ def evaluate_q(summary: CurvatureSummary, h: np.ndarray) -> float:
     )
 
 
-def jacobi_eigenvalues(S: np.ndarray) -> np.ndarray:
+def jacobi_eigenvalues(S: np.ndarray, unit: float | None = None) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, from LAPACK eigvalsh.
 
-    Input that is not symmetric to 1e-8 relative raises NotSymmetric; the
-    solver sees the symmetrized matrix.  Agreement with the bisection oracle
-    is tested up to N = 136; platform differences in the last digits are
-    absorbed by the VERDICT_TIE dead zone, the one tie rule.  The name is
-    historical; the benchmark's tracer addresses the eigen-solve by it.
+    Input whose asymmetry max|S - S^T| exceeds CERT_TOL unit raises
+    NotSymmetric; the unit is the algebra's max|c|^2 for a stability form,
+    and max|S| by default.  The solver sees the symmetrized matrix.
+    Agreement with the bisection oracle is tested up to N = 136; platform
+    differences in the last digits are absorbed by the TIE_TOL dead zone of
+    the verdicts.  The name is historical; the benchmark's tracer addresses
+    the eigen-solve by it.
     """
     S = np.asarray(S, dtype=float)
-    scale = float(np.linalg.norm(S))
-    if np.max(np.abs(S - S.T)) > 1e-8 * max(scale, 1.0):
+    unit = float(np.max(np.abs(S))) if unit is None else unit
+    if not within(float(np.max(np.abs(S - S.T))), CERT_TOL, unit):
         raise NotSymmetric("matrix is not symmetric")
     return np.linalg.eigvalsh(0.5 * (S + S.T))
 
 
-def max_eigenvalue(S: np.ndarray) -> float:
+def max_eigenvalue(S: np.ndarray, unit: float | None = None) -> float:
     """Largest eigenvalue of a symmetric matrix (see jacobi_eigenvalues)."""
-    return float(jacobi_eigenvalues(S)[-1])
+    return float(jacobi_eigenvalues(S, unit)[-1])
 
 
-def _verdict(margin: float) -> bool | None:
-    if abs(margin) <= VERDICT_TIE:
-        return None
-    return margin > 0
+def _verdict(margin: float, unit: float) -> bool | None:
+    """True or False by the margin's sign, None within TIE_TOL units of zero."""
+    return None if within(abs(margin), TIE_TOL, unit) else margin > 0
 
 
 def stability_report(
@@ -131,23 +131,23 @@ def stability_report(
 ) -> StabilityReport:
     """One table row: max q against tr(D)/2, and, when an extension summary
     is supplied, max Ro of the extension against -lambda."""
-    max_q = max_eigenvalue(stability_form(summary, sym2_basis(F.dim)).S)
+    max_q = max_eigenvalue(stability_form(summary, sym2_basis(F.dim)).S, cert.scale)
     threshold = 0.5 * cert.trace_D
     q_margin = threshold - max_q
 
     max_Ro = einstein_threshold = Ro_margin = Ro_verdict = None
     if extension_summary is not None:
         ext_form = stability_form(extension_summary, sym2_basis(extension_summary.dim))
-        max_Ro = max_eigenvalue(ext_form.S_Ro)
+        max_Ro = max_eigenvalue(ext_form.S_Ro, cert.scale)
         einstein_threshold = -cert.lam
         Ro_margin = einstein_threshold - max_Ro
-        Ro_verdict = _verdict(Ro_margin)
+        Ro_verdict = _verdict(Ro_margin, cert.scale)
 
     return StabilityReport(
         max_q=max_q,
         threshold=threshold,
         q_margin=q_margin,
-        q_verdict=_verdict(q_margin),
+        q_verdict=_verdict(q_margin, cert.scale),
         lam=cert.lam,
         trace_D=cert.trace_D,
         max_Ro=max_Ro,

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import time
 
+import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, flow, soliton, stability
@@ -292,8 +294,24 @@ def test_non_soliton_through_every_output(tmp_path, capsys):
     assert "not a soliton (residual 1.333e+00)" in rows[1]
 
 
+SCALES = (1e-6, 1e-3, 1.0, 1e2, 1e4, 1e6)
+# e(2), [e3, e1] = e2 and [e3, e2] = -e1: flat, so a steady soliton with no verdict
+E2 = {"name": "e2", "dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}
+
+
+@pytest.mark.parametrize("command", ["flow", "gaussian"])
+def test_not_a_soliton_names_the_file(tmp_path, capsys, command):
+    path = write_alg(tmp_path, "jordan3", JORDAN3)
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (EXIT_NOT_SOLITON, "")
+    assert err == f"{path}: not a soliton: residual 1.333e+00\n"
+
+
 def _rotated_copy(tmp_path, name, Q, s):
-    F = conjugate_framed(framed(name), Q)
+    """The catalog algebra ``name``, or E2, in the orthonormal basis rotated by
+    Q, with its brackets times s."""
+    F = algebra.parse_algebra(json.dumps(E2)) if name == "e2" else framed(name)
+    F = conjugate_framed(F, Q)
     n = F.dim
     entries = [[i + 1, j + 1, k + 1, s * float(F.c[i, j, k])]
                for i in range(n) for j in range(i + 1, n) for k in range(n)]
@@ -304,17 +322,81 @@ def _rotated_copy(tmp_path, name, Q, s):
 def test_verdict_does_not_depend_on_bracket_scale(tmp_path, capsys, rng, name):
     Q = random_orthogonal(rng, catalog.load(name).dim)
     lams = []
-    for s in (1e-3, 1.0, 1e2, 1e4, 1e6):
+    for s in SCALES:
         code, out, err = run(capsys, "analyze", _rotated_copy(tmp_path, name, Q, s),
                              "--extend", "--format", "json")
         doc = json.loads(out)
         assert (code, doc["verdict"], err) == (EXIT_STABLE, "stable", ""), s
         lams.append(doc["lambda"] / s**2)
-    assert max(lams) - min(lams) <= 1e-12 * abs(lams[1])
-    # at 1e-6 the margins are of order 1e-12, inside the absolute dead zone
-    # of the stability verdict, so only an input error would be wrong
-    code, _, _ = run(capsys, "analyze", _rotated_copy(tmp_path, name, Q, 1e-6), "--extend")
-    assert code != EXIT_INPUT_ERROR
+    assert max(lams) - min(lams) <= 1e-12 * abs(lams[2])
+
+
+def test_flat_e2_is_inconclusive_at_every_scale(tmp_path, capsys, rng):
+    # its lambda, D and q margin are round-off of order 1e-16 s^2, which the
+    # dead zone, TIE_TOL s^2, must swallow at every s
+    for _ in range(3):
+        Q = random_orthogonal(rng, 3)
+        for s in SCALES:
+            code, out, _ = run(capsys, "analyze", _rotated_copy(tmp_path, "e2", Q, s), "--extend")
+            assert (code, out.splitlines()[-1]) == (EXIT_UNSTABLE, "verdict: inconclusive"), s
+
+
+def test_small_scale_prints_lambda_and_trace(tmp_path, capsys, rng):
+    # h3 at 1e-6: lambda = -1.5e-12 and tr D = 4e-12 are not rounding noise
+    path = _rotated_copy(tmp_path, "heisenberg3", random_orthogonal(rng, 3), 1e-6)
+    code, out, _ = run(capsys, "analyze", path, "--extend")
+    assert code == EXIT_STABLE
+    assert out.splitlines()[1].split()[1:4] == ["2", "-1.5e-12", "4e-12"]
+
+
+def test_large_metric_with_one_ulp_asymmetry_is_accepted(tmp_path, capsys):
+    # the symmetry check is relative to max|G|: an ulp of 5e7 is 7.5e-9
+    G = 1e8 * np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    G[1, 0] = np.nextafter(G[0, 1], np.inf)
+    path = write_alg(tmp_path, "h3_big_metric", {**H3, "metric": G.tolist()})
+    code, out, err = run(capsys, "analyze", path, "--extend")
+    assert (code, err) == (EXIT_STABLE, "")
+    assert "verdict: stable" in out
+
+
+@pytest.mark.parametrize("s", [1.0, 1e2, 1e3, 1e4])
+def test_soliton_at_rest_decays_at_every_scale(tmp_path, capsys, rng, s):
+    # eps = 0 leaves only round-off of order 1e-16 s^2, which the decay floor,
+    # DECAY_TOL s^2, must count as decayed; time runs as 1/s^2
+    path = _rotated_copy(tmp_path, "heisenberg3", random_orthogonal(rng, 3), s)
+    code, out, _ = run(capsys, "flow", path, "--eps", "0", "--trials", "3",
+                       "--dt", str(1e-3 / s**2), "--t-max", str(0.1 / s**2))
+    assert code == EXIT_STABLE
+    assert out.count("decayed") == 3 and "NOT decayed" not in out
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-6])
+def test_gaussian_k_at_small_scale(tmp_path, capsys, rng, s):
+    # |lambda| = 1.5 s^2 against the absolute -1 of the bracket makes k about
+    # 1/s^2; it is computed, not counted up to
+    path = _rotated_copy(tmp_path, "heisenberg3", random_orthogonal(rng, 3), s)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gaussian", path, "--ignore-stability")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (EXIT_STABLE, "")
+    p = analyze_file(path, gaussian_mode="paper-bound", ignore_stability=True).gaussian_plan
+    assert f"k = {p.k}\n" in out and p.k > 1 / s**2
+    assert p.C1 + p.C2 + 0.5 * p.lam * p.k < -1.0
+    assert p.C1 + p.C2 + 0.5 * p.lam * (p.k - 1) >= -1.0
+
+
+@pytest.mark.parametrize("a, b", [(1e-4, 1e-2), (1e3, 1e2)])
+def test_metric_related_by_an_automorphism_gives_the_same_answer(tmp_path, a, b):
+    # f1 = a e1, f2 = b e2, f3 = ab e3 is an automorphism-related basis of
+    # h3: [f1, f2] = f3, with metric diag(a^2, b^2, (ab)^2), so <[f1,f2],f3> = (ab)^2
+    G = np.diag([a * a, b * b, (a * b) ** 2])
+    doc = {"dim": 3, "brackets": [[1, 2, 3, (a * b) ** 2]], "metric": G.tolist()}
+    got = analyze_file(write_alg(tmp_path, "h3_aut", doc), extend=True)
+    want = analyze_file(cat("heisenberg3"), extend=True)
+    assert got.verdict == want.verdict == "stable"
+    for x, y in ((got.certificate.lam, want.certificate.lam),
+                 (got.report.max_q, want.report.max_q)):
+        assert abs(x - y) <= 1e-12 * abs(y)
 
 
 @pytest.mark.parametrize(

@@ -235,17 +235,35 @@ def test_gaussian_monotone_under_metric_rescaling():
     assert all(k2 <= k1 for k1, k2 in zip(ks, ks[1:]))
 
 
+def test_gaussian_k_is_the_least_count(rng):
+    # the closed form must give the k that counting up one at a time finds,
+    # also where the bracket is -1 up to rounding (values in tenths)
+    _, summary, cert = certify("heisenberg3")
+    cases = [(c1 / 10, c2 / 10, -m / 10) for c1 in range(10) for c2 in range(10)
+             for m in range(1, 11)]
+    cases += [(float(rng.uniform(0, 5)), float(rng.uniform(0, 5)),
+               -(10.0 ** rng.uniform(-3, 1))) for _ in range(200)]
+    for C1, C2, lam in cases:
+        k = 0
+        while C1 + C2 + 0.5 * lam * k >= -1.0:
+            k += 1
+        plan = soliton.gaussian_extension_dimension(
+            summary, summary.riemann, replace(cert, lam=lam, trace_D=2.0 * C2),
+            stability_max_q=C1, mode="sharp", ignore_stability=True)
+        assert plan.k == k, (C1, C2, lam)
+
+
 def test_verify_gaussian_product():
     _, summary, cert = certify("heisenberg3")
-    r3 = soliton.verify_gaussian_product(summary, cert, 3).residual
-    r0 = soliton.verify_gaussian_product(summary, cert, 0).residual
-    r7 = soliton.verify_gaussian_product(summary, cert, 7).residual
+    r3 = soliton.verify_gaussian_product(summary, cert, 3)
+    r0 = soliton.verify_gaussian_product(summary, cert, 0)
+    r7 = soliton.verify_gaussian_product(summary, cert, 7)
     assert r3 <= cert.residual + 1e-12
     assert r0 == pytest.approx(cert.residual, abs=1e-15)
     assert abs(r7 - r0) <= 1e-12  # flat factor contributes exactly zero
 
     _, summarya, certa = certify("abelian3", lambda_hint=-1.0)
-    assert soliton.verify_gaussian_product(summarya, certa, 5).residual == 0.0
+    assert soliton.verify_gaussian_product(summarya, certa, 5) == 0.0
 
 
 def test_certificate_basis_covariance(rng):

@@ -188,11 +188,16 @@ def test_flat_soliton_strictly_stable():
 
 
 def test_verdict_dead_zone():
-    assert stability._verdict(0.0) is None
-    assert stability._verdict(5e-10) is None
-    assert stability._verdict(-5e-10) is None
-    assert stability._verdict(2e-9) is True
-    assert stability._verdict(-2e-9) is False
+    # the dead zone is TIE_TOL = 1e-9 in the algebra's unit max|c|^2
+    for unit in (1.0, 1e-12, 1e12):
+        assert stability._verdict(0.0, unit) is None
+        assert stability._verdict(5e-10 * unit, unit) is None
+        assert stability._verdict(-5e-10 * unit, unit) is None
+        assert stability._verdict(2e-9 * unit, unit) is True
+        assert stability._verdict(-2e-9 * unit, unit) is False
+    # abelian g with no lambda hint: unit 0, and only an exact zero is a tie
+    assert stability._verdict(0.0, 0.0) is None
+    assert stability._verdict(1e-300, 0.0) is True
 
 
 def test_max_q_invariant_under_orthogonal_frame_change(rng):
