@@ -6,11 +6,13 @@ product G on the basis (identity by default), and held as its dense
 structure tensor.  This module validates the Jacobi identity, moves the
 tensor into an orthonormal frame, computes derivation defects and the
 derivation algebra, and reports structural invariants (step, unimodularity).
+The Jacobiator and the defect are matrix products on reshaped views.
 It also holds every tolerance of the package, in one block of relative ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import AlgebraFormatError, MetricError
 
 MAX_DIM = 16
+_NUMBERS = frozenset((int, float))  # JSON numbers; bool is a type of its own
 
 # Every tolerance of solstab, each relative.  A check accepts a residual r
 # when within(r, TOL, unit**d).  The unit is max|c|^2 in the basis at hand,
@@ -106,26 +109,7 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
     raw_entries = doc.get("brackets", [])
     if not isinstance(raw_entries, list):
         raise AlgebraFormatError("'brackets' must be a list")
-    c = np.zeros((n, n, n))
-    seen: set[tuple[int, int, int]] = set()
-    for raw in raw_entries:
-        what = f"bracket entry {raw!r}"
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise AlgebraFormatError(f"malformed {what}")
-        i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
-        v = _finite(raw[3], f"value in {what}")
-        for idx in (i, j, k):
-            if idx < 1 or idx > n:
-                raise AlgebraFormatError(
-                    f"index out of range in {what}: {idx} not in 1..{n}"
-                )
-        if i >= j:
-            raise AlgebraFormatError(f"{what} must have i < j")
-        if (i, j, k) in seen:
-            raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
-        seen.add((i, j, k))
-        c[i - 1, j - 1, k - 1] = v
-        c[j - 1, i - 1, k - 1] = -v
+    c = _bracket_tensor(raw_entries, n)
 
     if doc.get("metric") is not None:
         try:
@@ -158,6 +142,60 @@ def algebra_hints(text: str) -> dict:
     return parse_algebra(text).hints
 
 
+def _bracket_tensor(entries: list, n: int) -> np.ndarray:
+    """The dense structure tensor of a list of bracket entries.
+
+    The entries are checked column by column.  Each check cuts the list at
+    the first entry it rejects, so the first bad entry in list order is found,
+    and only it is formatted into a message (`_reject_entry`).
+    """
+    first = len(entries)
+    if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
+        first = next(e for e, raw in enumerate(entries)
+                     if type(raw) is not list or len(raw) != 4)
+    cells = list(zip(*entries[:first])) or [()] * 4
+    # JSON numbers (a bool is not one), then numbers within float range
+    first = _cut(map(_NUMBERS.__contains__, map(type, itertools.chain(*cells))), first)
+    cells = [col[:first] for col in cells]
+    first = _cut(map(sys.float_info.max.__ge__, map(abs, itertools.chain(*cells))), first)
+    a = np.array([col[:first] for col in cells], dtype=float).reshape(4, first)
+    idx, v = a[:3], a[3]
+    # integral indices in 1..n with i < j, and no (i, j, k) twice
+    ok = np.all((idx == np.floor(idx)) & (idx >= 1) & (idx <= n), axis=0) & (idx[0] < idx[1])
+    i, j, k = np.where(ok, idx - 1, 0).astype(int)
+    key = (i * n + j) * n + k
+    order = np.argsort(key, kind="stable")  # a repeat sorts right after its first
+    ok[order[1:]] &= key[order[1:]] != key[order[:-1]]
+    bad = first if ok.all() else int(np.argmin(ok))
+    if bad < len(entries):
+        _reject_entry(entries[bad], n)
+    c = np.zeros((n, n, n))
+    c[i, j, k] = v
+    c[j, i, k] = -v
+    return c
+
+
+def _cut(flags, first: int) -> int:
+    """The first entry with a False flag, or first; flags run column by column."""
+    ok = np.fromiter(flags, bool, 4 * first).reshape(4, first).all(axis=0)
+    return first if ok.all() else int(np.argmin(ok))
+
+
+def _reject_entry(raw, n: int):
+    """Raise the error for one rejected bracket entry, checks in order."""
+    what = f"bracket entry {raw!r}"
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise AlgebraFormatError(f"malformed {what}")
+    i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
+    _finite(raw[3], f"value in {what}")
+    for idx in (i, j, k):
+        if idx < 1 or idx > n:
+            raise AlgebraFormatError(f"index out of range in {what}: {idx} not in 1..{n}")
+    if i >= j:
+        raise AlgebraFormatError(f"{what} must have i < j")
+    raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
+
+
 def _integer(value, what: str) -> int:
     # JSON true is an int to Python, and int() would truncate 3.7 to 3
     if isinstance(value, float) and value.is_integer():
@@ -182,14 +220,15 @@ def jacobi_residual(beta: np.ndarray) -> float:
 
 def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
     """The (i, j, k) triple (1-based) with the largest Jacobi violation."""
-    jac = (
-        np.einsum("ijp,pkm->ijkm", beta, beta)
-        + np.einsum("jkp,pim->ijkm", beta, beta)
-        + np.einsum("kip,pjm->ijkm", beta, beta)
-    )
-    flat = np.max(np.abs(jac), axis=-1)
-    i, j, k = np.unravel_index(np.argmax(flat), flat.shape)
-    return int(i) + 1, int(j) + 1, int(k) + 1, float(flat[i, j, k])
+    n = beta.shape[0]
+    # X[i,j,k,m] = [[e_i,e_j],e_k]_m; the other two terms are X[j,k,i,m] and X[k,i,j,m]
+    X = (beta @ beta.reshape(n, n * n)).reshape(n, n, n, n)
+    jac = X + X.transpose(2, 0, 1, 3)
+    jac += X.transpose(1, 2, 0, 3)
+    np.abs(jac, out=jac)
+    # the first maximal entry in C order lies in the first maximal triple
+    i, j, k, m = np.unravel_index(np.argmax(jac), jac.shape)
+    return int(i) + 1, int(j) + 1, int(k) + 1, float(jac[i, j, k, m])
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
@@ -268,8 +307,11 @@ def derivation_defect(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     X is a derivation exactly when delta(X) = 0.  delta is linear in X, and
     delta(I) = -beta.
     """
-    return (np.einsum("ijm,km->ijk", beta, X) - np.einsum("pi,pjk->ijk", X, beta)
-            - np.einsum("pj,ipk->ijk", X, beta))
+    n = beta.shape[0]
+    first = (beta.reshape(n * n, n) @ X.T).reshape(n, n, n)  # X[e_i, e_j]
+    second = (X.T @ beta.reshape(n, n * n)).reshape(n, n, n)  # [X e_i, e_j]
+    third = (X.T @ beta.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
+    return first - second - third.transpose(1, 0, 2)  # third[j, i] = [e_i, X e_j]
 
 
 def structure_profile(L) -> StructureProfile:
@@ -296,7 +338,7 @@ def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
     for _ in range(n + 1):
         step += 1
         # [g, C^m]: all [e_i, v] for v in the current span
-        prods = np.einsum("ijm,jv->miv", beta, basis).reshape(n, -1)
+        prods = (beta.transpose(2, 0, 1).reshape(n * n, n) @ basis).reshape(n, -1)
         nxt = _column_span(prods, scale)
         if nxt.shape[1] == 0:
             return step

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -109,9 +110,7 @@ def analyze_file(
     with _stage(timings, "curvature"):
         profile = algebra.structure_profile(F)
 
-    report = None
-    gaussian_plan = None
-    gaussian_residual = None
+    report = gaussian_plan = gaussian_residual = None
     if cert.accepted:
         with _naming(path):
             with _stage(timings, "stability"):
@@ -121,24 +120,11 @@ def analyze_file(
                 report = stability.stability_report(F, summary, cert, ext_summary)
             if gaussian_mode is not None:
                 gaussian_plan = soliton.gaussian_extension_dimension(
-                    summary,
-                    summary.riemann,
-                    cert,
-                    report.max_q,
-                    mode=gaussian_mode,
-                    ignore_stability=ignore_stability,
-                )
+                    summary, summary.riemann, cert, report.max_q, mode=gaussian_mode,
+                    ignore_stability=ignore_stability)
                 gaussian_residual = soliton.verify_gaussian_product(summary, cert, gaussian_plan.k)
 
-    return AnalysisRecord(
-        name=F.name,
-        profile=profile,
-        certificate=cert,
-        report=report,
-        gaussian_plan=gaussian_plan,
-        gaussian_residual=gaussian_residual,
-        timings=timings,
-    )
+    return AnalysisRecord(F.name, profile, cert, report, gaussian_plan, gaussian_residual, timings)
 
 
 def _fmt_exact(x: float, unit: float) -> str:
@@ -146,16 +132,12 @@ def _fmt_exact(x: float, unit: float) -> str:
     return f"{0.0 if algebra.within(abs(x), algebra.TIE_TOL, unit) else x:g}"
 
 
-def _fmt3(x: float | None) -> str:
-    if x is None:
-        return ""
+def _fmt3(x: float) -> str:
     return f"{round(x, 3):.3f}"  # round-half-even to 3 decimals
 
 
 def _fmt_verdict(v: bool | None) -> str:
-    if v is None:
-        return "?"
-    return "✓" if v else "✗"
+    return "?" if v is None else "✓" if v else "✗"
 
 
 def record_row(rec: AnalysisRecord) -> list[str]:
@@ -317,6 +299,7 @@ def _mode(mode: str) -> str:
     return {"paper": "paper-bound", "sharp": "sharp"}[mode]
 
 
+@functools.cache  # main() may run many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solstab",
@@ -331,12 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["paper", "sharp"], default="paper")
     p.add_argument("--ignore-stability", action="store_true")
     p.add_argument("--format", choices=["human", "json", "csv"], default="human")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("table", help="analyze a directory of .alg files")
     p.add_argument("dir")
     p.add_argument("--format", choices=["human", "csv"], default="human")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("flow", help="perturbation-decay flow experiment")
     p.add_argument("path")
@@ -345,21 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("gaussian", help="Gaussian extension dimension")
     p.add_argument("path")
     p.add_argument("--mode", choices=["paper", "sharp"], default="paper")
     p.add_argument("--ignore-stability", action="store_true")
-    p.set_defaults(func=cmd_gaussian)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, past the cached parser
     try:
-        return args.func(args)
+        return command(args)
     except NotExpanding as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SOLITON

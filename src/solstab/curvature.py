@@ -7,13 +7,14 @@ from the Koszul formula
     gamma[i,j,k] = (c[i,j,k] - c[j,k,i] + c[k,i,j]) / 2,
 
 and the Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z with R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>.  Ricci has one
-closed form, `ricci_tensor`, written in any basis through the inner product
-G and its inverse; the flow evaluates it on stacks of time-dependent
-metrics.  `curvature_summary` evaluates it at G = I in an orthonormal frame
-and checks it against the contraction sum_i R[i,j,k,i] on every call, so the
-formula the flow uses is cross-checked too: the most likely bug class here
-is a sign or index error.
+- nabla_[X,Y] Z with R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>, in two matrix
+products (`_riemann`).  Ricci has one closed form, `ricci_tensor`, written
+in any basis through the inner product G and its inverse; the flow
+evaluates it on stacks of time-dependent metrics.  `curvature_summary`
+evaluates it at G = I in an orthonormal frame and checks it against the
+contraction sum_i R[i,j,k,i] on every call, so the Riemann kernel and the
+formula the flow uses cross-check each other: the most likely bug class
+here is a sign or index error.
 
 Sign calibration: the bi-invariant metric on su(2) has sectional curvature
 +1/4 and the Heisenberg algebra h3 has K(e1,e2) = -3/4, K(e1,e3) =
@@ -54,11 +55,15 @@ def _gamma(c: np.ndarray) -> np.ndarray:
 
 
 def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
-        - np.einsum("...ijm,...mkl->...ijkl", c, gamma)
-    )
+    # R[i,j,k,l] = A[j,k,i,l] - A[i,k,j,l] - c[i,j,m] gamma[m,k,l] with
+    # A[j,k,i,l] = gamma[j,k,m] gamma[i,m,l]; stacked products, as OpenBLAS may
+    # split one (n^2, n) x (n, n^2) product over threads, at a loss at this size
+    n = c.shape[0]
+    A = (gamma @ gamma.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    R = (c @ gamma.reshape(n, n * n)).reshape(n, n, n, n)
+    np.subtract(A.transpose(2, 0, 1, 3), R, out=R)
+    R -= A.transpose(0, 2, 1, 3)
+    return R
 
 
 def ricci_tensor(beta: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -122,9 +127,4 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"
         )
-    return CurvatureSummary(
-        ric=ric,
-        scal=float(np.trace(ric)),
-        riemann=RiemannTensor(R=R),
-        cross_check_residual=residual,
-    )
+    return CurvatureSummary(ric, float(np.trace(ric)), RiemannTensor(R), residual)

@@ -224,14 +224,7 @@ def gaussian_extension_dimension(
             k += 1
         while k > 0 and C1 + C2 + 0.5 * lam * (k - 1) < -1.0:
             k -= 1
-    return GaussianExtensionPlan(
-        C1=C1,
-        C2=C2,
-        lam=lam,
-        k=k,
-        mode=mode,
-        bracket_value_at_k=C1 + C2 + 0.5 * lam * k,
-    )
+    return GaussianExtensionPlan(C1, C2, lam, k, mode, bracket_value_at_k=C1 + C2 + 0.5 * lam * k)
 
 
 def verify_gaussian_product(summary: CurvatureSummary, cert: SolitonCertificate, k: int) -> float:

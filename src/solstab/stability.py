@@ -5,7 +5,9 @@ q(h) = <Ro h + Ric o h, h> with (Ro h)_ij = R[i,p,q,j] h[p,q] and
 Ric = lambda I + D is certified strictly linearly stable when
 max q < tr(D) / 2 over unit symmetric 2-tensors; for Einstein metrics the
 criterion is max <Ro h, h> < -lambda.  Maxima are top eigenvalues of the
-form's matrix in an orthonormal basis of Sym^2, computed by LAPACK eigvalsh.
+form's matrix in an orthonormal basis of Sym^2, computed by LAPACK eigvalsh;
+the matrix is gathered from R and Ric at each basis element's index pairs,
+not multiplied out as P M P^T.
 Both sides are of degree 2 in the brackets, so a margin is measured in the
 algebra's unit, SolitonCertificate.scale = max|c|^2: one within
 algebra.TIE_TOL units of zero is inconclusive, at every bracket scale.
@@ -13,6 +15,7 @@ algebra.TIE_TOL units of zero is inconclusive, at every bracket scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,10 @@ class Sym2Basis:
     n: int
     N: int
     elements: np.ndarray  # shape (N, n, n)
+    # element a is w[a] (E_ij + E_ji) with (i, j) = pairs[:, a], i <= j, and
+    # w = 1/2 on the diagonal units and 1/sqrt(2) off them; weights = w w^T
+    pairs: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,9 @@ class StabilityReport:
     Ro_verdict: bool | None = None
 
 
+@functools.cache
 def sym2_basis(n: int) -> Sym2Basis:
+    """The basis of Sym^2 of R^n, built once per n; its arrays are read-only."""
     if n < 1 or n > 17:
         raise ValueError(f"n must be in 1..17, got {n}")
     iu, ju = np.triu_indices(n, k=1)
@@ -64,25 +73,35 @@ def sym2_basis(n: int) -> Sym2Basis:
     elements = np.zeros((n + iu.size, n, n))
     elements[diag, diag, diag] = 1.0
     elements[off, iu, ju] = elements[off, ju, iu] = 1.0 / np.sqrt(2.0)
-    return Sym2Basis(n=n, N=n * (n + 1) // 2, elements=elements)
+    pairs = np.array([np.concatenate([diag, iu]), np.concatenate([diag, ju])])
+    w = np.where(pairs[0] == pairs[1], 0.5, 1.0 / np.sqrt(2.0))
+    tables = (elements, pairs, np.outer(w, w))
+    for table in tables:
+        table.flags.writeable = False
+    return Sym2Basis(n, n * (n + 1) // 2, *tables)
 
 
 def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm:
     """Matrices of the stability form and its pure-curvature part.
 
-    With P the basis elements flattened to rows of length n^2 and an operator
-    M on n x n matrices written as an n^2 x n^2 matrix, the form's matrix is
-    P M P^T.  Ro[(i,j),(p,q)] = R[i,p,q,j]; the Ricci term is symmetrized to
+    An operator M on n x n matrices, with M[(i,j),(p,q)] the coefficient of
+    h[p,q] in (M h)[i,j], has the matrix P M P^T on Sym^2, where the rows of
+    P are the basis elements; as element a is w[a] (E_ij + E_ji), its entries
+    are sums of M at the index pairs (i,j) and (j,i), read off by gathers.
+    For Ro, M[(i,j),(p,q)] = R[i,p,q,j].  The Ricci term is symmetrized to
     (Ric h + h Ric)/2, which leaves the quadratic form unchanged on symmetric
-    h and makes S symmetric.
+    h and makes S symmetric; it is added to the gathered rows.
     """
-    n = basis.n
-    P = basis.elements.reshape(basis.N, n * n)
-    Ro = summary.riemann.R.transpose(0, 3, 1, 2).reshape(n * n, n * n)
-    ric, eye = summary.ric, np.eye(n)
-    Rich = 0.5 * (np.kron(ric, eye) + np.kron(eye, ric.T))
-    S_Ro = P @ Ro @ P.T
-    S = S_Ro + P @ Rich @ P.T
+    i, j = basis.pairs
+    a = np.arange(basis.N)
+    R, ric = summary.riemann.R, 0.5 * summary.ric
+    rows = R[i, :, :, j] + R[j, :, :, i]  # rows[a, p, q] = M[(i,j),(p,q)] + M[(j,i),(p,q)]
+    S_Ro = basis.weights * (rows[:, i, j] + rows[:, j, i])
+    rows[a, :, j] += ric[i]
+    rows[a, :, i] += ric[j]
+    rows[a, i, :] += ric.T[j]
+    rows[a, j, :] += ric.T[i]
+    S = basis.weights * (rows[:, i, j] + rows[:, j, i])
     return StabilityForm(S=S, S_Ro=S_Ro)
 
 
@@ -143,15 +162,5 @@ def stability_report(
         Ro_margin = einstein_threshold - max_Ro
         Ro_verdict = _verdict(Ro_margin, cert.scale)
 
-    return StabilityReport(
-        max_q=max_q,
-        threshold=threshold,
-        q_margin=q_margin,
-        q_verdict=_verdict(q_margin, cert.scale),
-        lam=cert.lam,
-        trace_D=cert.trace_D,
-        max_Ro=max_Ro,
-        einstein_threshold=einstein_threshold,
-        Ro_margin=Ro_margin,
-        Ro_verdict=Ro_verdict,
-    )
+    return StabilityReport(max_q, threshold, q_margin, _verdict(q_margin, cert.scale), cert.lam,
+                           cert.trace_D, max_Ro, einstein_threshold, Ro_margin, Ro_verdict)

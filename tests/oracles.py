@@ -5,7 +5,9 @@ from Householder tridiagonalization plus Sturm-count bisection on the
 characteristic polynomial recurrence, the maximum of the stability
 form comes from random sampling of the unit sphere of symmetric tensors
 followed by shifted power-iteration refinement of the direct formula, and
-the derivation constraints are assembled one row at a time.
+the derivation constraints are assembled one row at a time.  The tensor
+kernels of the verdict path (Riemann, Jacobiator, derivation defect, the
+Sym^2 form) have references here in their index form, as einsum and kron.
 """
 
 import numpy as np
@@ -154,3 +156,51 @@ def nilsoliton_identity_residual(cert):
     """|tr(D^2) + lambda tr D|, which vanishes for nilsolitons."""
     D = cert.derivation
     return float(abs(np.trace(D @ D) + cert.lam * np.trace(D)))
+
+
+def riemann_reference(c, gamma):
+    """R[i,j,k,l] = gamma[j,k,m] gamma[i,m,l] - gamma[i,k,m] gamma[j,m,l] - c[i,j,m] gamma[m,k,l]."""
+    return (
+        np.einsum("jkm,iml->ijkl", gamma, gamma)
+        - np.einsum("ikm,jml->ijkl", gamma, gamma)
+        - np.einsum("ijm,mkl->ijkl", c, gamma)
+    )
+
+
+def jacobiator_reference(beta):
+    """jac[i,j,k,m]: component m of [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+    return (
+        np.einsum("ijp,pkm->ijkm", beta, beta)
+        + np.einsum("jkp,pim->ijkm", beta, beta)
+        + np.einsum("kip,pjm->ijkm", beta, beta)
+    )
+
+
+def derivation_defect_reference(beta, X):
+    """delta(X)[i,j,k]: component k of X[e_i,e_j] - [X e_i, e_j] - [e_i, X e_j]."""
+    return (np.einsum("ijm,km->ijk", beta, X) - np.einsum("pi,pjk->ijk", X, beta)
+            - np.einsum("pj,ipk->ijk", X, beta))
+
+
+def stability_form_reference(R, ric):
+    """(S, S_Ro) as P M P^T, with P the Sym^2 basis built element by element
+    in the library's order (diagonal units, then (E_ij + E_ji)/sqrt(2) for
+    i < j) and M the operator on flattened n x n matrices, the Ricci term
+    (Ric h + h Ric)/2 as Kronecker products."""
+    n = R.shape[0]
+    elements = []
+    for i in range(n):
+        E = np.zeros((n, n))
+        E[i, i] = 1.0
+        elements.append(E.ravel())
+    for i in range(n):
+        for j in range(i + 1, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+            elements.append(E.ravel())
+    P = np.array(elements)
+    Ro = R.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    eye = np.eye(n)
+    Rich = 0.5 * (np.kron(ric, eye) + np.kron(eye, ric.T))
+    S_Ro = P @ Ro @ P.T
+    return S_Ro + P @ Rich @ P.T, S_Ro

@@ -61,6 +61,50 @@ def test_parse_requires_i_less_than_j():
         algebra.parse_algebra(doc)
 
 
+DENSE8 = [[i, j, k, 0.5 * k] for i in range(1, 9) for j in range(i + 1, 9) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([7, 8, 3], "malformed bracket entry [7, 8, 3]"),
+        ("7 8 3 1", "malformed bracket entry '7 8 3 1'"),
+        ([7, 8.5, 3, 1.0], "index in bracket entry [7, 8.5, 3, 1.0] must be an integer, got 8.5"),
+        ([7, False, 3, 1.0], "index in bracket entry [7, False, 3, 1.0] must be an integer, got False"),
+        ([7, 8, 3, None], "value in bracket entry [7, 8, 3, None] must be a finite number, got None"),
+        ([7, 8, 3, 10**400], "value in bracket entry [7, 8, 3, 1" + "0" * 400 + "] must be a finite"),
+        ([7, 8, 10**400, 1.0], "index out of range in bracket entry [7, 8, 1" + "0" * 400 + ", 1.0]"),
+        ([7, 8, 9, 1.0], "index out of range in bracket entry [7, 8, 9, 1.0]: 9 not in 1..8"),
+        ([0, 8, 3, 1.0], "index out of range in bracket entry [0, 8, 3, 1.0]: 0 not in 1..8"),
+        ([8, 7, 3, 1.0], "bracket entry [8, 7, 3, 1.0] must have i < j"),
+        ([7, 7, 3, 1.0], "bracket entry [7, 7, 3, 1.0] must have i < j"),
+        ([2.0, 5, 3.0, -1], "duplicate bracket entry (2,5,3)"),
+    ],
+    ids=["short", "text", "fraction", "bool", "null", "huge-value", "huge-index", "range",
+         "zero", "order", "diagonal", "duplicate"],
+)
+def test_parse_names_the_last_entry_of_a_dense_list(bad, message):
+    entries = DENSE8[:-1] + [bad]  # 224 entries, every (i < j, k) of dim 8 but the last
+    with pytest.raises(AlgebraFormatError) as info:
+        algebra.parse_algebra(json.dumps({"dim": 8, "brackets": entries}))
+    assert str(info.value).startswith(message)
+    # an earlier bad entry is the one named
+    entries[100] = [3, 2, 1, 1.0]
+    with pytest.raises(AlgebraFormatError, match=r"^bracket entry \[3, 2, 1, 1.0\] must have i < j$"):
+        algebra.parse_algebra(json.dumps({"dim": 8, "brackets": entries}))
+
+
+def test_parse_accepts_integral_float_indices_and_integer_values():
+    ints = algebra.parse_algebra(json.dumps({"dim": 8, "brackets": DENSE8}))
+    floats = [[float(i), float(j), float(k), v] for i, j, k, v in DENSE8]
+    floats[0][3] = 0  # [1.0, 2.0, 1.0, 0], an integer value
+    c = algebra.parse_algebra(json.dumps({"dim": 8, "brackets": floats})).c
+    want = ints.c.copy()
+    want[0, 1, 0], want[1, 0, 0] = 0.0, -0.0
+    assert np.array_equal(c, want)
+    assert ints.c[6, 7, 7] == 4.0 and ints.c[7, 6, 7] == -4.0
+
+
 def test_parse_malformed_json():
     with pytest.raises(AlgebraFormatError, match="malformed"):
         algebra.parse_algebra("{not json")

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solstab import algebra, catalog, curvature, flow, soliton, stability
+import solstab
+from solstab import algebra, catalog, cli, curvature, flow, soliton, stability
 from solstab.errors import AlgebraFormatError, EinsteinVerificationFailed
 from solstab.cli import (
     EXIT_INPUT_ERROR,
@@ -127,6 +132,41 @@ def test_analyze_gaussian_flag(capsys):
     assert code == EXIT_STABLE
     assert "k=7" in out
     assert "product residual" in out
+
+
+def without_timings(out):
+    """The output with the JSON timings removed: they differ from run to run."""
+    if not out.startswith("{"):
+        return out
+    doc = json.loads(out)
+    del doc["timings"]
+    return doc
+
+
+def test_successive_main_calls_print_what_separate_processes_print(capsys):
+    src = str(Path(solstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    calls = [
+        ["analyze", cat("heisenberg5"), "--format", "json"],
+        ["table", str(catalog.catalog_dir())],
+        ["analyze", cat("heisenberg3")],  # defaults: human, no extension
+        ["analyze", cat("su2"), "--extend", "--gaussian"],
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "solstab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, without_timings(out), err) == (
+            proc.returncode, without_timings(proc.stdout), proc.stderr), argv
+
+
+def test_main_runs_the_command_bound_to_its_name_at_call_time(capsys, monkeypatch):
+    # the parser is built once, so a command wrapped after that must still run
+    assert run(capsys, "analyze", cat("heisenberg3"))[0] == EXIT_STABLE
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.path) or 7)
+    assert main(["analyze", cat("heisenberg3")]) == 7
+    assert seen == [cat("heisenberg3")]
 
 
 def test_table_catalog(capsys):
