@@ -127,9 +127,13 @@ def analyze_file(
     return AnalysisRecord(F.name, profile, cert, report, gaussian_plan, gaussian_residual, timings)
 
 
-def _fmt_exact(x: float, unit: float) -> str:
-    """x in %g, or 0 for rounding noise around an exact zero (TIE_TOL units)."""
-    return f"{0.0 if algebra.within(abs(x), algebra.TIE_TOL, unit) else x:g}"
+def _fmt_exact(x: float, unit: float, tol: float = algebra.TIE_TOL, spec: str = "g") -> str:
+    """x in spec, or 0 for rounding noise around an exact zero (tol units)."""
+    return "0" if algebra.within(abs(x), tol, unit) else f"{x:{spec}}"
+
+
+def _fmt_round_off(rec: AnalysisRecord) -> str:  # the product residual is pure rounding
+    return _fmt_exact(rec.gaussian_residual, rec.certificate.scale, algebra.ROUND_TOL, ".3e")
 
 
 def _fmt3(x: float) -> str:
@@ -218,11 +222,11 @@ def cmd_analyze(args) -> int:
         print(_render_table([record_row(rec)]))
         print(f"verdict: {rec.verdict}")
         if rec.gaussian_plan is not None:
-            p = rec.gaussian_plan
+            p, residual = rec.gaussian_plan, _fmt_round_off(rec)
             print(
                 f"gaussian extension ({p.mode}): C1={p.C1:.6g} C2={p.C2:.6g} "
                 f"k={p.k} bracket={p.bracket_value_at_k:.6g} "
-                f"product residual={rec.gaussian_residual:.3e}"
+                f"product residual={residual}"
             )
     if rec.verdict == "stable":
         return EXIT_STABLE
@@ -291,7 +295,7 @@ def cmd_gaussian(args) -> int:
     print(f"C2 = {p.C2:.9g}")
     print(f"k = {p.k}")
     print(f"bracket value at k: {p.bracket_value_at_k:.9g}")
-    print(f"product soliton residual: {rec.gaussian_residual:.3e}")
+    print(f"product soliton residual: {_fmt_round_off(rec)}")
     return EXIT_STABLE
 
 

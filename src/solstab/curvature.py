@@ -8,13 +8,14 @@ from the Koszul formula
 
 and the Riemann tensor from R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_[X,Y] Z with R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>, in two matrix
-products (`_riemann`).  Ricci has one closed form, `ricci_tensor`, written
-in any basis through the inner product G and its inverse; the flow
-evaluates it on stacks of time-dependent metrics.  `curvature_summary`
-evaluates it at G = I in an orthonormal frame and checks it against the
-contraction sum_i R[i,j,k,i] on every call, so the Riemann kernel and the
-formula the flow uses cross-check each other: the most likely bug class
-here is a sign or index error.
+products (`_riemann`).  Ricci has one closed form, in any basis through the
+inner product G and its inverse; `ricci_form` builds its metric-independent
+part once per bracket tensor, and a flow evaluates the function it returns
+on stacks of time-dependent metrics.  `curvature_summary` evaluates it at
+G = I in an orthonormal frame and checks it against the contraction
+sum_i R[i,j,k,i] on every call, so the Riemann kernel and the formula the
+flow uses cross-check each other: the most likely bug class here is a sign
+or index error.
 
 Sign calibration: the bi-invariant metric on su(2) has sectional curvature
 +1/4 and the Heisenberg algebra h3 has K(e1,e2) = -3/4, K(e1,e3) =
@@ -66,36 +67,46 @@ def _riemann(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return R
 
 
-def ricci_tensor(beta: np.ndarray, G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Ricci (0,2)-tensor of the inner product G in the basis of beta.
+def ricci_form(beta: np.ndarray):
+    """Ricci (0,2)-tensor in the basis of beta, as a function ric(G, A) of the
+    inner product G and A = G^{-1}, which may carry leading batch axes.
 
-    beta[i,j,m] are the bracket coefficients, [e_i, e_j] = beta[i,j,m] e_m,
-    and A = G^{-1}; G and A may carry leading batch axes.  This is Besse's
-    closed form (Einstein Manifolds, 7.38) with its sums over an orthonormal
-    basis contracted by A, where Y = beta G and tau_x = beta_xkk:
+    beta[i,j,m] are the bracket coefficients, [e_i, e_j] = beta[i,j,m] e_m.
+    This is Besse's closed form (Einstein Manifolds, 7.38) with its sums over
+    an orthonormal basis contracted by A, where Y = beta G and tau_x = beta_xkk:
 
         Ric_xy = -1/2 A^ij beta_xim G_mn beta_yjn + 1/4 A^ip A^jq Y_ijx Y_pqy
                  - 1/2 B_xy - 1/2 (U_xy + U_yx)
 
     with the Killing form B_xy = beta_xkm beta_ymk and U_xy = H^m Y_mxy, where
-    H = A tau is the mean-curvature vector; the last two terms vanish for
-    nilpotent algebras.  Every metric-dependent term comes from
-    W[p,j,x] = A^pi Y_ijx and its transposed copy T[x,j,n] = W[j,x,n]: as beta
-    and Y are antisymmetric in i and j, A^ij beta_xim G_mn = -T[x,j,n] in the
-    first term, A^jq Y_pqy = -T[p,j,y] in the second, and U_xy = tau_p W[p,x,y].
+    H = A tau is the mean-curvature vector; B/2 and tau are built here, once,
+    and B or U is left out where B or tau is zero, as both are for nilpotent
+    algebras.  Every metric-dependent term comes from W[p,j,x] = A^pi Y_ijx
+    and its transposed copy T[x,j,n] = W[j,x,n]: as beta and Y are
+    antisymmetric in i and j, A^ij beta_xim G_mn = -T[x,j,n] in the first
+    term, A^jq Y_pqy = -T[p,j,y] in the second, and U_xy = tau_p W[p,x,y].
     W is stored halved, which carries the 1/2 and 1/4 exactly.
     """
     n = beta.shape[-1]
-    batch = G.shape[:-2]
-    rows = beta.reshape(n, n * n)
-    Y = (beta.reshape(n * n, n) @ G).reshape(*batch, n, n * n)  # <[e_i,e_j], e_x>
-    W = 0.5 * (A @ Y)  # A^pi Y_ijx / 2 at [p,(j,x)]
-    T = W.reshape(*batch, n, n, n).swapaxes(-3, -2).reshape(-1, n * n)  # [x,(j,n)]
-    first = (T @ rows.T).reshape(*batch, n, n)
-    second = W.reshape(*batch, n * n, n).swapaxes(-1, -2) @ T.reshape(*batch, n * n, n)
-    killing = rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T
-    U = (beta.trace(axis1=1, axis2=2) @ W).reshape(*batch, n, n)
-    return first - second - 0.5 * killing - (U + U.swapaxes(-1, -2))
+    rows, cols = beta.reshape(n, n * n), beta.reshape(n * n, n)
+    half_killing = 0.5 * (rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T)
+    tau = beta.trace(axis1=1, axis2=2)
+    killing, unimodular = bool(np.any(half_killing)), not np.any(tau)
+
+    def ricci(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+        batch = G.shape[:-2]
+        W = 0.5 * (A @ (cols @ G).reshape(*batch, n, n * n))  # A^pi Y_ijx / 2 at [p,(j,x)]
+        T = W.reshape(*batch, n, n, n).swapaxes(-3, -2).reshape(-1, n * n)  # [x,(j,n)]
+        ric = (T @ rows.T).reshape(*batch, n, n)
+        ric -= W.reshape(*batch, n * n, n).swapaxes(-1, -2) @ T.reshape(*batch, n * n, n)
+        if killing:
+            ric -= half_killing
+        if not unimodular:
+            U = (tau @ W).reshape(*batch, n, n)
+            ric -= U + U.swapaxes(-1, -2)
+        return ric
+
+    return ricci
 
 
 def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
@@ -111,7 +122,7 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
         gamma = _gamma(F.c)
         R = _riemann(F.c, gamma)
         eye = np.eye(F.dim)
-        ric = ricci_tensor(F.c, eye, eye)
+        ric = ricci_form(F.c)(eye, eye)
         contracted = np.einsum("ijki->jk", R)
         residual = float(np.max(np.abs(ric - contracted)))
     # a NaN residual would pass the comparison below and reach a verdict

@@ -3,7 +3,8 @@
 The flow is d/dt G = -2 Ric(G) + 2 lambda G + G D + D^T G on inner
 products G over a fixed Lie algebra basis; an algebraic soliton (lambda, D)
 is a stationary point.  Ric(G) comes from the closed form in G and G^{-1}
-(`curvature.ricci_tensor`) in that fixed basis, with no change of frame.
+in that fixed basis, with no change of frame; its metric-independent part,
+`curvature.ricci_form` of the bracket tensor, is built once per flow.
 Integration is classical fixed-step fourth-order Runge-Kutta: stiffness is
 absent near stable fixed points at the perturbation sizes used here, and
 determinism is preferred over adaptive control.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DECAY_TOL, JITTER_TOL, within
-from .curvature import ricci_tensor
+from .curvature import ricci_form
 from .errors import Blowup, NotExpanding, PositivityLost
 from .soliton import SolitonCertificate
 
@@ -76,37 +77,38 @@ class TrialReport:
     monotonicity_violations: int
 
 
-def ricci_of_metric(beta: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Ricci (0,2)-tensor of the metric G on a fixed bracket tensor beta.
+def ricci_of_metric(form, G: np.ndarray) -> np.ndarray:
+    """Ricci (0,2)-tensor of the metric G, with form = ricci_form(beta).
 
     G may carry leading batch axes.  Raises PositivityLost when G is not
-    positive definite.
+    positive definite, as a Cholesky factorization finds; G^{-1} comes from
+    `inv`, as one factorization yielding both made a flow no faster.
     """
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         raise PositivityLost("metric is not positive definite") from None
-    return ricci_tensor(beta, G, np.linalg.inv(G))
+    return form(G, np.linalg.inv(G))
 
 
 def flow_rhs(L, G: np.ndarray, lam: float, D: np.ndarray) -> np.ndarray:
     """-2 Ric(G) + 2 lambda G + G D + D^T G."""
-    return -2.0 * _defect(L.bracket_tensor, G, _shift(lam, D))
+    return -2.0 * _defect(ricci_form(L.bracket_tensor), G, _shift(lam, D))
 
 
 def _shift(lam, D):  # M with lambda G + (G D + D^T G)/2 = G M + (G M)^T
     return 0.5 * (D + lam * np.eye(len(D)))
 
 
-def _defect(beta, G, M):
+def _defect(form, G, M):
     """Ric(G) - (G M + (G M)^T) with M = _shift(lam, D): -1/2 the right-hand side."""
     S = G @ M
-    return ricci_of_metric(beta, G) - (S + S.swapaxes(-1, -2))
+    return ricci_of_metric(form, G) - (S + S.swapaxes(-1, -2))
 
 
 def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
     """||Ric(G) - lambda G - (G D + D^T G)/2|| / ||G|| in max norm."""
-    return float(_relative(_defect(L.bracket_tensor, G, _shift(lam, D)), G))
+    return float(_relative(_defect(ricci_form(L.bracket_tensor), G, _shift(lam, D)), G))
 
 
 def _relative(defect, G):
@@ -134,10 +136,10 @@ def integrate_flow(
     at the end; each point's defect is evaluated once, as the sample's residual
     (one value per metric for a stack) and as the next step's first stage."""
     config = config or FlowConfig()
-    beta, dt, n_steps, M = L.bracket_tensor, config.dt, config.n_steps, _shift(lam, D)
+    form, dt, n_steps, M = ricci_form(L.bracket_tensor), config.dt, config.n_steps, _shift(lam, D)
     G = G0 = np.array(G0, dtype=float)
     _check_state(G)
-    d = _defect(beta, G, M)
+    d = _defect(form, G, M)
 
     def sample(t, G, d):  # the right-hand side is -2 d
         values = (_relative(d, G), np.linalg.norm(G - G0, axis=(-2, -1)),
@@ -146,14 +148,14 @@ def integrate_flow(
 
     samples = [sample(0.0, G, d)]
     for step in range(1, n_steps + 1):
-        d2 = _defect(beta, G - dt * d, M)
-        d3 = _defect(beta, G - dt * d2, M)
-        d4 = _defect(beta, G - (2.0 * dt) * d3, M)
+        d2 = _defect(form, G - dt * d, M)
+        d3 = _defect(form, G - dt * d2, M)
+        d4 = _defect(form, G - (2.0 * dt) * d3, M)
         G = G - (dt / 3.0) * (d + 2.0 * (d2 + d3) + d4)
         sampled = step % config.sample_every == 0 or step == n_steps
         if sampled:
             _check_state(G)
-        d = _defect(beta, G, M)
+        d = _defect(form, G, M)
         if sampled:
             samples.append(sample(step * dt, G, d))
     return FlowTrace(samples=samples, final=FlowState(t=n_steps * dt, G=G))

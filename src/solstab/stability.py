@@ -45,8 +45,38 @@ class Sym2Basis:
 
 @dataclass(frozen=True)
 class StabilityForm:
-    S: np.ndarray  # matrix of h -> Ro h + (Ric h + h Ric)/2
-    S_Ro: np.ndarray  # matrix of h -> Ro h alone
+    """Matrices of the stability form and its pure-curvature part, each built
+    on its first read (a report reads S of g and S_Ro of its extension).
+
+    An operator M on n x n matrices, with M[(i,j),(p,q)] the coefficient of
+    h[p,q] in (M h)[i,j], has the matrix P M P^T on Sym^2, where the rows of
+    P are the basis elements; as element a is w[a] (E_ij + E_ji), its entries
+    are sums of M at the index pairs (i,j) and (j,i), read off by gathers.
+    For Ro, M[(i,j),(p,q)] = R[i,p,q,j].  The Ricci term is symmetrized to
+    (Ric h + h Ric)/2, which leaves the quadratic form unchanged on symmetric
+    h and makes S symmetric; it is added to the gathered rows.
+    """
+
+    summary: CurvatureSummary
+    basis: Sym2Basis
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:  # matrix of h -> Ro h + (Ric h + h Ric)/2
+        return self._gather(0.5 * self.summary.ric)
+
+    @functools.cached_property
+    def S_Ro(self) -> np.ndarray:  # matrix of h -> Ro h alone
+        return self._gather(None)
+
+    def _gather(self, ric: np.ndarray | None) -> np.ndarray:
+        (i, j), a, R = self.basis.pairs, np.arange(self.basis.N), self.summary.riemann.R
+        rows = R[i, :, :, j] + R[j, :, :, i]  # rows[a, p, q] = M[(i,j),(p,q)] + M[(j,i),(p,q)]
+        if ric is not None:
+            rows[a, :, j] += ric[i]
+            rows[a, :, i] += ric[j]
+            rows[a, i, :] += ric.T[j]
+            rows[a, j, :] += ric.T[i]
+        return self.basis.weights * (rows[:, i, j] + rows[:, j, i])
 
 
 @dataclass(frozen=True)
@@ -82,27 +112,8 @@ def sym2_basis(n: int) -> Sym2Basis:
 
 
 def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm:
-    """Matrices of the stability form and its pure-curvature part.
-
-    An operator M on n x n matrices, with M[(i,j),(p,q)] the coefficient of
-    h[p,q] in (M h)[i,j], has the matrix P M P^T on Sym^2, where the rows of
-    P are the basis elements; as element a is w[a] (E_ij + E_ji), its entries
-    are sums of M at the index pairs (i,j) and (j,i), read off by gathers.
-    For Ro, M[(i,j),(p,q)] = R[i,p,q,j].  The Ricci term is symmetrized to
-    (Ric h + h Ric)/2, which leaves the quadratic form unchanged on symmetric
-    h and makes S symmetric; it is added to the gathered rows.
-    """
-    i, j = basis.pairs
-    a = np.arange(basis.N)
-    R, ric = summary.riemann.R, 0.5 * summary.ric
-    rows = R[i, :, :, j] + R[j, :, :, i]  # rows[a, p, q] = M[(i,j),(p,q)] + M[(j,i),(p,q)]
-    S_Ro = basis.weights * (rows[:, i, j] + rows[:, j, i])
-    rows[a, :, j] += ric[i]
-    rows[a, :, i] += ric[j]
-    rows[a, i, :] += ric.T[j]
-    rows[a, j, :] += ric.T[i]
-    S = basis.weights * (rows[:, i, j] + rows[:, j, i])
-    return StabilityForm(S=S, S_Ro=S_Ro)
+    """The stability form of a curvature summary on a Sym^2 basis, built lazily."""
+    return StabilityForm(summary, basis)
 
 
 def evaluate_q(summary: CurvatureSummary, h: np.ndarray) -> float:

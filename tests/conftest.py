@@ -32,6 +32,13 @@ def random_solvable(rng, n):
     return algebra.MetricLieAlgebra(f"rand_solv_{n}", n, c, np.eye(n))
 
 
+def random_spd(rng, n, batch):
+    """Random symmetric positive definite n x n metrics, stacked as batch."""
+    X = rng.standard_normal((*batch, n, n))
+    G = X @ np.swapaxes(X, -1, -2) / n + np.eye(n)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))

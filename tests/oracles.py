@@ -8,6 +8,8 @@ followed by shifted power-iteration refinement of the direct formula, and
 the derivation constraints are assembled one row at a time.  The tensor
 kernels of the verdict path (Riemann, Jacobiator, derivation defect, the
 Sym^2 form) have references here in their index form, as einsum and kron.
+The flow's Ricci kernel, prepared once per bracket tensor, has as its
+reference the same closed form evaluated whole on every call.
 """
 
 import numpy as np
@@ -204,3 +206,27 @@ def stability_form_reference(R, ric):
     Rich = 0.5 * (np.kron(ric, eye) + np.kron(eye, ric.T))
     S_Ro = P @ Ro @ P.T
     return S_Ro + P @ Rich @ P.T, S_Ro
+
+
+def ricci_tensor_reference(beta, G, A):
+    """Ricci (0,2)-tensor of the inner product G (A = G^{-1}, both possibly
+    stacked) in the basis of beta, every term rebuilt on each call:
+    Besse's closed form (Einstein Manifolds, 7.38)
+
+        Ric_xy = -1/2 A^ij beta_xim G_mn beta_yjn + 1/4 A^ip A^jq Y_ijx Y_pqy
+                 - 1/2 B_xy - 1/2 (U_xy + U_yx)
+
+    with Y = beta G, the Killing form B_xy = beta_xkm beta_ymk, tau_x = beta_xkk
+    and U_xy = tau_p W[p,x,y], where W[p,j,x] = A^pi Y_ijx / 2 and
+    T[x,j,n] = W[j,x,n] carry the first two terms."""
+    n = beta.shape[-1]
+    batch = G.shape[:-2]
+    rows = beta.reshape(n, n * n)
+    Y = (beta.reshape(n * n, n) @ G).reshape(*batch, n, n * n)
+    W = 0.5 * (A @ Y)
+    T = W.reshape(*batch, n, n, n).swapaxes(-3, -2).reshape(-1, n * n)
+    first = (T @ rows.T).reshape(*batch, n, n)
+    second = W.reshape(*batch, n * n, n).swapaxes(-1, -2) @ T.reshape(*batch, n * n, n)
+    killing = rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T
+    U = (beta.trace(axis1=1, axis2=2) @ W).reshape(*batch, n, n)
+    return first - second - 0.5 * killing - (U + U.swapaxes(-1, -2))

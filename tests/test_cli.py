@@ -131,7 +131,19 @@ def test_analyze_gaussian_flag(capsys):
     )
     assert code == EXIT_STABLE
     assert "k=7" in out
-    assert "product residual" in out
+    assert "product residual=0\n" in out  # max|Ric - lambda I - D| is round-off
+
+
+def test_product_residual_prints_round_off_as_zero(capsys):
+    code, out, _ = run(capsys, "gaussian", cat("heisenberg5"), "--ignore-stability")
+    assert code == EXIT_STABLE
+    assert out.endswith("product soliton residual: 0\n")
+    code, out, _ = run(capsys, "analyze", cat("heisenberg5"), "--gaussian", "--format", "json")
+    assert code == EXIT_STABLE
+    assert isinstance(json.loads(out)["gaussian"]["product_residual"], float)  # raw
+    # a residual above ROUND_TOL units keeps its digits
+    assert cli._fmt_exact(3e-10, 1.0, algebra.ROUND_TOL, ".3e") == "3.000e-10"
+    assert cli._fmt_exact(3e-11, 1.0, algebra.ROUND_TOL, ".3e") == "0"
 
 
 def without_timings(out):
@@ -595,3 +607,16 @@ def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):
     steps = 50
     assert ricci["calls"] == 4 * steps + 1  # each point's defect is evaluated once
     assert reference["calls"] == 0
+
+
+def test_flow_builds_its_ricci_form_once(monkeypatch, capsys):
+    # the metric-independent part of Ricci is built once per bracket tensor:
+    # one for the certificate's curvature summary and one for the whole flow,
+    # while the per-evaluation entry point still runs 4 steps + 1 times
+    summary_forms = _count_calls(monkeypatch, (curvature, "ricci_form"))
+    flow_forms = _count_calls(monkeypatch, (flow, "ricci_form"))
+    ricci = _count_calls(monkeypatch, (flow, "ricci_of_metric"))
+    code, _, _ = run(capsys, "flow", cat("heisenberg5"), "--t-max", "0.05", "--trials", "2")
+    assert code == EXIT_STABLE
+    assert (summary_forms["calls"], flow_forms["calls"]) == (1, 1)
+    assert ricci["calls"] == 4 * 50 + 1

@@ -4,7 +4,7 @@ import pytest
 from solstab import algebra, catalog, curvature, flow, soliton
 from solstab.errors import NotExpanding, PositivityLost
 
-from conftest import framed, heisenberg15, random_solvable
+from conftest import framed, heisenberg15, random_solvable, random_spd
 
 
 def certified(name, lambda_hint=None):
@@ -16,7 +16,7 @@ def certified(name, lambda_hint=None):
 
 def test_ricci_of_metric_identity_matches_closed_form():
     F = framed("heisenberg3")
-    ric = flow.ricci_of_metric(F.bracket_tensor, np.eye(3))
+    ric = flow.ricci_of_metric(curvature.ricci_form(F.bracket_tensor), np.eye(3))
     assert np.allclose(ric, np.diag([-0.5, -0.5, 0.5]), atol=1e-14)
 
 
@@ -25,22 +25,22 @@ def test_ricci_of_metric_scaling_law():
     # ric(tG)_ij = t * ric_frame scaled: structure constants scale t^{-1/2}
     # in the orthonormal frame, ric_frame scales 1/t, so ric = L r L^T is
     # scale-invariant in coordinates for h3
-    F = framed("heisenberg3")
-    base = flow.ricci_of_metric(F.bracket_tensor, np.eye(3))
+    form = curvature.ricci_form(framed("heisenberg3").bracket_tensor)
+    base = flow.ricci_of_metric(form, np.eye(3))
     for t in (0.5, 2.0, 4.0):
-        got = flow.ricci_of_metric(F.bracket_tensor, t * np.eye(3))
+        got = flow.ricci_of_metric(form, t * np.eye(3))
         assert np.allclose(got, base, atol=1e-12), t
 
 
 def test_ricci_of_metric_batched_agrees_with_loop(rng):
-    F = framed("heisenberg5")
+    form = curvature.ricci_form(framed("heisenberg5").bracket_tensor)
     Gs = []
     for _ in range(6):
         A = rng.standard_normal((5, 5))
         Gs.append(A @ A.T + 5 * np.eye(5))
-    stacked = flow.ricci_of_metric(F.bracket_tensor, np.array(Gs))
+    stacked = flow.ricci_of_metric(form, np.array(Gs))
     for G, ric in zip(Gs, stacked):
-        assert np.allclose(ric, flow.ricci_of_metric(F.bracket_tensor, G), atol=1e-12)
+        assert np.allclose(ric, flow.ricci_of_metric(form, G), atol=1e-12)
 
 
 def ricci_by_contraction(beta, G):
@@ -53,23 +53,18 @@ def ricci_by_contraction(beta, G):
     return back.T @ ric_frame @ back
 
 
-def random_spd(rng, n, size):
-    X = rng.standard_normal((size, n, n))
-    G = X @ np.swapaxes(X, -1, -2) / n + np.eye(n)
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
-
-
 def test_ricci_of_metric_matches_riemann_contraction(rng):
     # random solvable algebras are not unimodular, so they exercise the
     # mean-curvature term too
     algebras = ([catalog.load(name) for name in catalog.catalog_names()] + [heisenberg15()]
                 + [random_solvable(rng, n) for n in range(3, 9)])
     for L in algebras:
-        Gs = random_spd(rng, L.dim, 3)
+        Gs = random_spd(rng, L.dim, (3,))
         wants = [ricci_by_contraction(L.bracket_tensor, G) for G in Gs]
-        stacked = flow.ricci_of_metric(L.bracket_tensor, Gs)
+        form = curvature.ricci_form(L.bracket_tensor)
+        stacked = flow.ricci_of_metric(form, Gs)
         for G, want, got in zip(Gs, wants, stacked):
-            single = flow.ricci_of_metric(L.bracket_tensor, G)
+            single = flow.ricci_of_metric(form, G)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, L.name
             assert np.max(np.abs(single - want)) <= 1e-12 * scale, L.name
@@ -78,7 +73,17 @@ def test_ricci_of_metric_matches_riemann_contraction(rng):
 def test_ricci_of_metric_rejects_indefinite():
     F = framed("heisenberg3")
     with pytest.raises(PositivityLost):
-        flow.ricci_of_metric(F.bracket_tensor, np.diag([1.0, -1.0, 1.0]))
+        flow.ricci_of_metric(curvature.ricci_form(F.bracket_tensor), np.diag([1.0, -1.0, 1.0]))
+
+
+def test_ricci_of_metric_rejects_a_stack_with_one_indefinite_metric(rng):
+    form = curvature.ricci_form(framed("heisenberg5").bracket_tensor)
+    Gs = random_spd(rng, 5, (6,))
+    flow.ricci_of_metric(form, Gs)
+    w, V = np.linalg.eigh(Gs[3])
+    Gs[3] -= 2.0 * w[0] * np.outer(V[:, 0], V[:, 0])  # one eigenvalue negated
+    with pytest.raises(PositivityLost):
+        flow.ricci_of_metric(form, Gs)
 
 
 def test_soliton_is_fixed_point():

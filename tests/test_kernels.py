@@ -2,20 +2,26 @@
 
 Each kernel is checked on the catalog and on random solvable algebras of
 dims 2..17 in random orthonormal bases, and on random arrays without any
-symmetry, where a transposed index cannot hide behind one.  Agreement is
+symmetry, where a transposed index cannot hide behind one.  The flow's
+Ricci kernel, prepared once per bracket tensor, does the arithmetic of its
+per-call reference, so the two must agree exactly, under one metric and
+stacks of random SPD metrics.  Agreement is
 to 1e-13 of the kernel's scale: a bound on its entries from the max-norms
 of its inputs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, stability
 
-from conftest import conjugate_framed, framed, random_orthogonal, random_solvable
+from conftest import conjugate_framed, framed, random_orthogonal, random_solvable, random_spd
 from oracles import (
     derivation_defect_reference,
     jacobiator_reference,
+    ricci_tensor_reference,
     riemann_reference,
     stability_form_reference,
 )
@@ -28,9 +34,12 @@ def scale(*arrays):
 
 
 def frames():
-    """The catalog, and random solvable algebras of dims 2..17 in rotated bases."""
+    """The catalog, the flat e(2), and random solvable algebras of dims 2..17
+    in rotated bases."""
     rng = np.random.default_rng(7)
     out = [framed(name) for name in catalog.catalog_names()]
+    e2 = algebra.parse_algebra('{"dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}')
+    out.append(replace(algebra.orthonormal_frame(e2), name="e2"))
     for n in range(2, 18):
         F = algebra.orthonormal_frame(random_solvable(rng, n))
         out.append(conjugate_framed(F, random_orthogonal(rng, n)))
@@ -63,6 +72,32 @@ def test_riemann_matches_reference_without_symmetry(n):
     c, gamma = unstructured(n, n)
     got = curvature._riemann(c, gamma)
     assert_close(got, riemann_reference(c, gamma), n * (2 * scale(gamma) ** 2 + scale(c, gamma)))
+
+
+def assert_ricci(beta, G):
+    # the terms it leaves out are exactly zero, and the rest are unchanged
+    A = np.linalg.inv(G)
+    assert np.array_equal(curvature.ricci_form(beta)(G, A), ricci_tensor_reference(beta, G, A))
+
+
+@pytest.mark.parametrize("F", FRAMES, ids=IDS)
+def test_ricci_form_matches_reference(F):
+    # nilpotent (no Killing or tau term), unimodular (su2, e(2): no tau term)
+    # and not unimodular (solv4, random solvable), on an orthonormal and a
+    # rotated bracket tensor
+    rng = np.random.default_rng(400 + F.dim)
+    for beta in (F.c, F.c @ random_spd(rng, F.dim, ())):
+        assert_ricci(beta, np.eye(F.dim))
+        for batch in ((), (1,), (4,), (2, 3)):
+            assert_ricci(beta, random_spd(rng, F.dim, batch))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_ricci_form_matches_reference_without_symmetry(n):
+    beta, _ = unstructured(n, 500 + n)
+    rng = np.random.default_rng(n)
+    for batch in ((), (3,)):
+        assert_ricci(beta, random_spd(rng, n, batch))
 
 
 def assert_worst_triple(beta):
