@@ -8,8 +8,6 @@ their top eigenvalues (LAPACK eigvalsh), and prints the same rows the
 ``solstab table`` command produces.
 """
 
-import numpy as np
-
 from solstab import algebra, catalog, curvature, soliton, stability
 from solstab.cli import analyze_file, record_row, TABLE_COLUMNS
 
@@ -26,10 +24,9 @@ max_q = stability.max_eigenvalue(form.S)
 print(f"heisenberg5: lambda = {cert.lam:g}, tr D = {cert.trace_D:g}")
 print(f"max q = {max_q:.6f}  <  tr(D)/2 = {0.5 * cert.trace_D:g}  -> stable")
 
-# evaluate_q agrees with the matrix form on any symmetric tensor:
-h = np.zeros((5, 5))
-h[0, 4] = h[4, 0] = 1.0 / np.sqrt(2.0)
-print(f"spot check q(h) = {stability.evaluate_q(summary, h):.6f}")
+# q of a unit basis element is a diagonal entry of the matrix form; element 8
+# (after the 5 diagonal units and (1,2), (1,3), (1,4)) is h = (E_15 + E_51)/sqrt(2):
+print(f"spot check q(h) = {form.S[8, 8]:.6f}")
 
 # ---------------------------------------------------------------------------
 # 2. The Einstein extension check.  The rank-one solvable extension of a

@@ -3,10 +3,12 @@
 An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
 product G on the basis (identity by default), and held as its dense
-structure tensor.  This module validates the Jacobi identity, moves the
-tensor into an orthonormal frame, computes derivation defects and the
-derivation algebra, and reports structural invariants (step, unimodularity).
-The Jacobiator and the defect are matrix products on reshaped views.
+structure tensor.  `load_algebra` is the one file reader.  This module
+validates the Jacobi identity, moves the tensor into an orthonormal frame,
+computes the derivation defect delta and reports structural invariants
+(step, unimodularity).  The derivation algebra Der(g) is the null space of
+delta, taken over the unit matrices.  The Jacobiator and delta are matrix
+products on reshaped views.
 It also holds every tolerance of the package, in one block of relative ones.
 """
 
@@ -16,6 +18,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +88,7 @@ class StructureProfile:
 class AlgebraDiagnostics:
     jacobi_residual: float
     ok: bool
+    triple: tuple[int, int, int]  # 1-based, where the residual is attained
 
 
 def parse_algebra(text: str) -> MetricLieAlgebra:
@@ -111,18 +115,14 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
         raise AlgebraFormatError("'brackets' must be a list")
     c = _bracket_tensor(raw_entries, n)
 
+    G = np.eye(n)
     if doc.get("metric") is not None:
-        try:
-            G = np.asarray(doc["metric"], dtype=float)
-        except (TypeError, ValueError):  # ragged rows or non-numbers
-            G = None
-        if G is None or G.shape != (n, n):
+        rows = doc["metric"]
+        if type(rows) is not list or len(rows) != n or any(
+                type(row) is not list or len(row) != n for row in rows):
             raise AlgebraFormatError(f"metric must be {n}x{n}")
-        if not np.all(np.isfinite(G)):
-            raise AlgebraFormatError("'metric' entries must be finite")
+        G = np.array([[_finite(x, "'metric' entry") for x in row] for row in rows])
         _check_metric(G)
-    else:
-        G = np.eye(n)
 
     hints = doc.get("hints") or {}
     if not isinstance(hints, dict):
@@ -133,8 +133,15 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
 
 
 def load_algebra(path) -> MetricLieAlgebra:
-    with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    """Read and parse one .alg file.  A file that cannot be read, or is not
+    UTF-8 text, raises AlgebraFormatError like a malformed document."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise AlgebraFormatError(exc.strerror) from None
+    except UnicodeDecodeError:
+        raise AlgebraFormatError("not UTF-8 text") from None
+    return parse_algebra(text)
 
 
 def algebra_hints(text: str) -> dict:
@@ -213,13 +220,10 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def jacobi_residual(beta: np.ndarray) -> float:
-    """Max-norm of [[x,y],z] + [[y,z],x] + [[z,x],y] over basis triples."""
-    return worst_jacobi_triple(beta)[3]
-
-
 def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
-    """The (i, j, k) triple (1-based) with the largest Jacobi violation."""
+    """The (i, j, k) triple (1-based) with the largest Jacobi violation, and
+    that violation: the max-norm of [[x,y],z] + [[y,z],x] + [[z,x],y] over
+    basis triples."""
     n = beta.shape[0]
     # X[i,j,k,m] = [[e_i,e_j],e_k]_m; the other two terms are X[j,k,i,m] and X[k,i,j,m]
     X = (beta @ beta.reshape(n, n * n)).reshape(n, n, n, n)
@@ -235,16 +239,19 @@ def validate_algebra(L) -> AlgebraDiagnostics:
     """Jacobi-identity diagnostics for a metric Lie algebra: the residual is
     accepted up to ROUND_TOL max|beta|^2."""
     beta = L.bracket_tensor
-    res, scale = jacobi_residual(beta), float(np.max(np.abs(beta)))
-    return AlgebraDiagnostics(jacobi_residual=res, ok=within(res, ROUND_TOL, scale * scale))
+    *triple, res = worst_jacobi_triple(beta)
+    scale = float(np.max(np.abs(beta)))
+    return AlgebraDiagnostics(res, within(res, ROUND_TOL, scale * scale), tuple(triple))
 
 
 def require_jacobi(L) -> None:
     """Raise AlgebraFormatError naming the worst triple when Jacobi fails."""
-    if not validate_algebra(L).ok:
-        i, j, k, res = worst_jacobi_triple(L.bracket_tensor)
+    diag = validate_algebra(L)
+    if not diag.ok:
+        i, j, k = diag.triple
         raise AlgebraFormatError(
-            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): residual {res:.3e}"
+            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
+            f"residual {diag.jacobi_residual:.3e}"
         )
 
 
@@ -272,25 +279,19 @@ def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
 def derivation_basis(L) -> list[np.ndarray]:
     """Orthonormal basis of the derivation algebra Der(g).
 
-    Solves D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] for all i < j as the
-    null space of the linear map on n x n matrices that sends D to the
-    defects, with singular-value thresholding at ROUND_TOL relative to the
-    largest singular value.  For abelian g every constraint vanishes and
-    Der(g) = gl(n), returned as its standard basis.
+    Der(g) is the null space of delta (`derivation_defect`) restricted to
+    the pairs i < j: its matrix has as column (a, b) delta of the unit
+    matrix E_ab, and the null space is found with singular-value
+    thresholding at ROUND_TOL relative to the largest singular value.  For
+    abelian g every constraint vanishes and Der(g) = gl(n), returned as its
+    standard basis.
     """
     beta = L.bracket_tensor
     n = beta.shape[0]
     iu, ju = np.triu_indices(n, k=1)
-    pairs = np.arange(iu.size)
-    # A[p, k, a, b]: coefficient of D[a, b] in component k of the defect on
-    # pair p = (i, j), i.e. sum_m beta[i,j,m] D[k,m]
-    #   - sum_a beta[a,j,k] D[a,i] - sum_a beta[i,a,k] D[a,j]
-    A = np.zeros((iu.size, n, n, n))
-    diag = np.arange(n)
-    A[:, diag, diag, :] = beta[iu, ju][:, None, :]
-    A[pairs, :, :, iu] -= beta[:, ju, :].transpose(1, 2, 0)
-    A[pairs, :, :, ju] -= beta[iu].transpose(0, 2, 1)
-    A = A.reshape(-1, n * n)
+    units = np.eye(n * n).reshape(n * n, n, n)  # E_ab
+    # row (p, k): component k of delta on the pair p = (i, j)
+    A = derivation_defect(beta, units)[:, iu, ju].reshape(n * n, -1).T
     A = A[np.any(A != 0.0, axis=1)]
     if A.shape[0] == 0:
         return list(np.eye(n * n).reshape(n * n, n, n))
@@ -305,13 +306,14 @@ def derivation_defect(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """delta(X)[i,j,k]: component k of X[e_i,e_j] - [X e_i, e_j] - [e_i, X e_j].
 
     X is a derivation exactly when delta(X) = 0.  delta is linear in X, and
-    delta(I) = -beta.
+    delta(I) = -beta.  X may carry leading batch axes.
     """
     n = beta.shape[0]
-    first = (beta.reshape(n * n, n) @ X.T).reshape(n, n, n)  # X[e_i, e_j]
-    second = (X.T @ beta.reshape(n, n * n)).reshape(n, n, n)  # [X e_i, e_j]
-    third = (X.T @ beta.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
-    return first - second - third.transpose(1, 0, 2)  # third[j, i] = [e_i, X e_j]
+    XT, shape = X.swapaxes(-1, -2), (*X.shape[:-2], n, n, n)
+    first = (beta.reshape(n * n, n) @ XT).reshape(shape)  # X[e_i, e_j]
+    second = (XT @ beta.reshape(n, n * n)).reshape(shape)  # [X e_i, e_j]
+    third = (XT @ beta.transpose(1, 0, 2).reshape(n, n * n)).reshape(shape)
+    return first - second - third.swapaxes(-3, -2)  # third[j, i] = [e_i, X e_j]
 
 
 def structure_profile(L) -> StructureProfile:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .algebra import MetricLieAlgebra, parse_algebra
+from .algebra import MetricLieAlgebra, load_algebra
 
 
 def catalog_dir() -> Path:
@@ -24,7 +24,7 @@ def catalog_path(name: str) -> Path:
 
 
 def load(name: str) -> MetricLieAlgebra:
-    return parse_algebra(catalog_path(name).read_text(encoding="utf-8"))
+    return load_algebra(catalog_path(name))
 
 
 def load_hints(name: str) -> dict:

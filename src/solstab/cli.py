@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import algebra, curvature, flow, soliton, stability
-from .errors import AlgebraFormatError, Blowup, NotExpanding, PositivityLost, SolstabError
+from .errors import Blowup, NotExpanding, PositivityLost, SolstabError
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
@@ -82,13 +82,7 @@ def _certify(path, timings: dict[str, float]):
     and each error it raises names the file."""
     with _naming(path):
         with _stage(timings, "parse"):
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise AlgebraFormatError(exc.strerror) from None
-            except UnicodeDecodeError:
-                raise AlgebraFormatError("not UTF-8 text") from None
-            L = algebra.parse_algebra(text)
+            L = algebra.load_algebra(path)
             algebra.require_jacobi(L)
         with _stage(timings, "curvature"):
             F = algebra.orthonormal_frame(L)

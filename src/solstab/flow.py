@@ -106,12 +106,7 @@ def _defect(form, G, M):
     return ricci_of_metric(form, G) - (S + S.swapaxes(-1, -2))
 
 
-def soliton_residual(L, G: np.ndarray, lam: float, D: np.ndarray) -> float:
-    """||Ric(G) - lambda G - (G D + D^T G)/2|| / ||G|| in max norm."""
-    return float(_relative(_defect(ricci_form(L.bracket_tensor), G, _shift(lam, D)), G))
-
-
-def _relative(defect, G):
+def _relative(defect, G):  # the soliton residual: max|defect| / max|G|, per metric
     return np.max(np.abs(defect), axis=(-2, -1)) / np.max(np.abs(G), axis=(-2, -1))
 
 
@@ -181,8 +176,10 @@ def perturbation_experiment(
 
     Trials are integrated in one stacked Runge-Kutta loop (identical
     stepping to integrating each alone).  The monitored quantity is the
-    soliton residual, which is insensitive to the diffeomorphism ambiguity
-    that raw metric distance would suffer from.  It is of degree 2 in the
+    soliton residual with the certificate's D.  Unlike raw metric distance it
+    is insensitive to an automorphism phi of g that commutes with D, but not
+    to others: Ric(phi^T G phi) = phi^T Ric(G) phi, so phi^T G phi is a
+    soliton with phi^-1 D phi in place of D.  It is of degree 2 in the
     brackets, so its floors, DECAY_TOL and JITTER_TOL, are in the
     certificate's unit ``cert.scale``.
     """

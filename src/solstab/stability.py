@@ -34,9 +34,7 @@ class Sym2Basis:
     (E_ij + E_ji)/sqrt(2) in lexicographic order.
     """
 
-    n: int
     N: int
-    elements: np.ndarray  # shape (N, n, n)
     # element a is w[a] (E_ij + E_ji) with (i, j) = pairs[:, a], i <= j, and
     # w = 1/2 on the diagonal units and 1/sqrt(2) off them; weights = w w^T
     pairs: np.ndarray
@@ -99,30 +97,18 @@ def sym2_basis(n: int) -> Sym2Basis:
     if n < 1 or n > 17:
         raise ValueError(f"n must be in 1..17, got {n}")
     iu, ju = np.triu_indices(n, k=1)
-    diag, off = np.arange(n), np.arange(n, n + iu.size)
-    elements = np.zeros((n + iu.size, n, n))
-    elements[diag, diag, diag] = 1.0
-    elements[off, iu, ju] = elements[off, ju, iu] = 1.0 / np.sqrt(2.0)
+    diag = np.arange(n)
     pairs = np.array([np.concatenate([diag, iu]), np.concatenate([diag, ju])])
     w = np.where(pairs[0] == pairs[1], 0.5, 1.0 / np.sqrt(2.0))
-    tables = (elements, pairs, np.outer(w, w))
+    tables = (pairs, np.outer(w, w))
     for table in tables:
         table.flags.writeable = False
-    return Sym2Basis(n, n * (n + 1) // 2, *tables)
+    return Sym2Basis(n * (n + 1) // 2, *tables)
 
 
 def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm:
     """The stability form of a curvature summary on a Sym^2 basis, built lazily."""
     return StabilityForm(summary, basis)
-
-
-def evaluate_q(summary: CurvatureSummary, h: np.ndarray) -> float:
-    """Direct evaluation q(h) = sum R[i,p,q,j] h[p,q] h[i,j] + sum Ric[i,k] h[k,j] h[i,j]."""
-    R = summary.riemann.R
-    ric = summary.ric
-    return float(
-        np.einsum("ipqj,pq,ij->", R, h, h) + np.einsum("ik,kj,ij->", ric, h, h)
-    )
 
 
 def jacobi_eigenvalues(S: np.ndarray, unit: float | None = None) -> np.ndarray:

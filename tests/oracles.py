@@ -184,23 +184,28 @@ def derivation_defect_reference(beta, X):
             - np.einsum("pj,ipk->ijk", X, beta))
 
 
-def stability_form_reference(R, ric):
-    """(S, S_Ro) as P M P^T, with P the Sym^2 basis built element by element
-    in the library's order (diagonal units, then (E_ij + E_ji)/sqrt(2) for
-    i < j) and M the operator on flattened n x n matrices, the Ricci term
-    (Ric h + h Ric)/2 as Kronecker products."""
-    n = R.shape[0]
+def sym2_elements(n):
+    """The Sym^2 basis as dense n x n matrices, built element by element in
+    the library's order: diagonal units, then (E_ij + E_ji)/sqrt(2) for i < j."""
     elements = []
     for i in range(n):
         E = np.zeros((n, n))
         E[i, i] = 1.0
-        elements.append(E.ravel())
+        elements.append(E)
     for i in range(n):
         for j in range(i + 1, n):
             E = np.zeros((n, n))
             E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            elements.append(E.ravel())
-    P = np.array(elements)
+            elements.append(E)
+    return np.array(elements)
+
+
+def stability_form_reference(R, ric):
+    """(S, S_Ro) as P M P^T, with P the rows of sym2_elements and M the
+    operator on flattened n x n matrices, the Ricci term (Ric h + h Ric)/2
+    as Kronecker products."""
+    n = R.shape[0]
+    P = sym2_elements(n).reshape(-1, n * n)
     Ro = R.transpose(0, 3, 1, 2).reshape(n * n, n * n)
     eye = np.eye(n)
     Rich = 0.5 * (np.kron(ric, eye) + np.kron(eye, ric.T))

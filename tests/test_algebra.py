@@ -134,6 +134,7 @@ def test_validate_broken_jacobi():
     diag = algebra.validate_algebra(algebra.parse_algebra(doc))
     assert not diag.ok
     assert diag.jacobi_residual > 0.1
+    assert diag.triple == (1, 2, 3)
 
 
 NOT_LIE = [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [2, 4, 1, 1.0]]  # fails Jacobi at (e1, e2, e3)
@@ -189,7 +190,7 @@ def test_orthonormal_frame_h3_diagonal_metric(t):
     }
     F = algebra.orthonormal_frame(algebra.parse_algebra(json.dumps(doc)))
     assert F.c[0, 1, 2] == pytest.approx(t ** -0.5, abs=1e-14)
-    assert algebra.jacobi_residual(F.c) <= 1e-10
+    assert algebra.worst_jacobi_triple(F.c)[3] <= 1e-10
 
 
 def test_orthonormal_frame_preserves_jacobi(rng):
@@ -200,9 +201,9 @@ def test_orthonormal_frame_preserves_jacobi(rng):
         G = rng.standard_normal((n, n))
         G = G @ G.T + n * np.eye(n)
         L = replace(L, c=np.einsum("ijm,mk->ijk", L.bracket_tensor, G), metric=G)
-        assert algebra.jacobi_residual(L.bracket_tensor) <= 1e-12
+        assert algebra.worst_jacobi_triple(L.bracket_tensor)[3] <= 1e-12
         F = algebra.orthonormal_frame(L)
-        assert algebra.jacobi_residual(F.c) <= 1e-10
+        assert algebra.worst_jacobi_triple(F.c)[3] <= 1e-10
 
 
 def test_derivation_defect_identity_and_brackets(rng):

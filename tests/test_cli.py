@@ -112,7 +112,8 @@ def test_analyze_binary_file(tmp_path, capsys):
     assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {p}: not UTF-8 text\n")
 
 
-def test_analyze_broken_jacobi_names_triple(tmp_path, capsys):
+def test_analyze_broken_jacobi_names_triple(monkeypatch, tmp_path, capsys):
+    jacobi = _count_calls(monkeypatch, (algebra, "worst_jacobi_triple"))
     path = write_alg(
         tmp_path,
         "broken",
@@ -123,6 +124,7 @@ def test_analyze_broken_jacobi_names_triple(tmp_path, capsys):
     assert err.startswith(f"error: {path}: Jacobi identity violated")
     assert err.count(path) == 1 and err.count("\n") == 1
     assert "(e1, e2, e3)" in err
+    assert jacobi["calls"] == 1  # the failed check names its triple without a second pass
 
 
 def test_analyze_gaussian_flag(capsys):
@@ -463,9 +465,13 @@ def test_metric_related_by_an_automorphism_gives_the_same_answer(tmp_path, a, b)
         ({"dim": 3.7}, "'dim'"),
         ({"dim": True}, "'dim'"),
         ({"brackets": [[True, 2, 3, 1.0]]}, "bracket entry [True, 2, 3, 1.0]"),
+        ({"metric": [[1, 0, 0], [0, True, 0], [0, 0, 1]]}, "'metric'"),
+        ({"metric": [["1", 0, 0], [0, 1, 0], [0, 0, "1e0"]]}, "'metric'"),
+        ({"metric": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]}, "'metric'"),
     ],
     ids=["lambda-text", "lambda-nan", "lambda-inf", "bracket-nan", "bracket-inf",
-         "metric-nan", "dim-fraction", "dim-true", "index-true"],
+         "metric-nan", "dim-fraction", "dim-true", "index-true", "metric-true", "metric-text",
+         "metric-huge"],
 )
 def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     text = json.dumps({**H3, **change})  # NaN and Infinity as Python's json writes them

@@ -90,7 +90,10 @@ def test_soliton_is_fixed_point():
     F, cert = certified("heisenberg3")
     rhs = flow.flow_rhs(F, np.eye(3), cert.lam, cert.derivation)
     assert np.max(np.abs(rhs)) <= 1e-12
-    assert flow.soliton_residual(F, np.eye(3), cert.lam, cert.derivation) <= 1e-13
+    # the residual the flow samples at its start
+    config = flow.FlowConfig(dt=1e-3, t_max=1e-3)
+    trace = flow.integrate_flow(F, np.eye(3), cert.lam, cert.derivation, config)
+    assert trace.samples[0][1] <= 1e-13
 
 
 def test_einstein_fixed_point_solv4():

@@ -106,7 +106,9 @@ def assert_worst_triple(beta):
     i, j, k, res = algebra.worst_jacobi_triple(beta)
     assert abs(res - ref.max()) <= TOL * unit
     assert ref[i - 1, j - 1, k - 1] >= ref.max() - TOL * unit
-    assert algebra.jacobi_residual(beta) == res
+    n = beta.shape[0]
+    diag = algebra.validate_algebra(algebra.MetricLieAlgebra("x", n, beta, np.eye(n)))
+    assert (diag.jacobi_residual, diag.triple) == (res, (i, j, k))
 
 
 @pytest.mark.parametrize("F", FRAMES, ids=IDS)
@@ -128,6 +130,12 @@ def test_derivation_defect_matches_reference(F):
     got = algebra.derivation_defect(F.c, X)
     assert_close(got, derivation_defect_reference(F.c, X), 3 * F.dim * scale(F.c, X))
     assert np.array_equal(algebra.derivation_defect(F.c, np.eye(F.dim)), -F.c)
+    # a stack of X gives delta of each slice, exactly
+    stack = rng.standard_normal((2, 3, F.dim, F.dim))
+    got = algebra.derivation_defect(F.c, stack)
+    assert got.shape == (2, 3, F.dim, F.dim, F.dim)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], algebra.derivation_defect(F.c, stack[idx]))
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 17])
@@ -165,7 +173,7 @@ def test_sym2_basis_is_built_once_and_read_only():
     for n in (1, 4, 17):
         basis = stability.sym2_basis(n)
         assert stability.sym2_basis(n) is basis
-        for table in (basis.elements, basis.pairs, basis.weights):
+        for table in (basis.pairs, basis.weights):
             with pytest.raises(ValueError, match="read-only"):
-                table[(0,) * table.ndim] = 2.0
-        assert basis.elements[0, 0, 0] == 1.0
+                table[0, 0] = 2.0
+        assert (basis.pairs[0, 0], basis.weights[0, 0]) == (0, 0.25)

@@ -4,7 +4,7 @@ import pytest
 from solstab import algebra, curvature, soliton, stability
 
 from conftest import conjugate_framed, framed, heisenberg15, random_orthogonal, summary_of
-from oracles import bisection_eigenvalues, brute_force_max_q, direct_q
+from oracles import bisection_eigenvalues, brute_force_max_q, direct_q, sym2_elements
 
 # Frozen oracle outputs (brute-force sampling + power-iteration refinement),
 # pinned here so regressions surface as exact-value diffs.
@@ -24,30 +24,23 @@ def certified(name, lambda_hint=None):
 def test_sym2_basis_shape_and_orthonormality():
     for n in (1, 2, 3, 5, 8):
         basis = stability.sym2_basis(n)
-        assert basis.N == n * (n + 1) // 2
-        E = basis.elements.reshape(basis.N, -1)
+        assert basis.N == n * (n + 1) // 2 == basis.pairs.shape[1]
+        E = sym2_elements(n).reshape(basis.N, -1)
         assert np.max(np.abs(E @ E.T - np.eye(basis.N))) <= 1e-14
 
 
 def test_sym2_basis_ordering():
-    basis = stability.sym2_basis(3)
-    assert basis.elements[0][0, 0] == 1.0
-    assert basis.elements[2][2, 2] == 1.0
-    assert basis.elements[3][0, 1] == pytest.approx(1.0 / np.sqrt(2.0))
-    assert basis.elements[5][1, 2] == pytest.approx(1.0 / np.sqrt(2.0))
-    # the whole basis equals the element-by-element construction
-    for n in (1, 2, 5, 17):
-        want = []
-        for i in range(n):
-            E = np.zeros((n, n))
-            E[i, i] = 1.0
-            want.append(E)
-        for i in range(n):
-            for j in range(i + 1, n):
-                E = np.zeros((n, n))
-                E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-                want.append(E)
-        assert np.array_equal(stability.sym2_basis(n).elements, np.array(want)), n
+    # element a is w[a] (E_ij + E_ji) at (i, j) = pairs[:, a], which must
+    # give the element-by-element construction exactly
+    for n in (1, 2, 3, 5, 17):
+        basis = stability.sym2_basis(n)
+        (i, j), a = basis.pairs, np.arange(basis.N)
+        w = np.where(i == j, 0.5, 1.0 / np.sqrt(2.0))
+        dense = np.zeros((basis.N, n, n))
+        dense[a, i, j] += w
+        dense[a, j, i] += w
+        assert np.array_equal(dense, sym2_elements(n)), n
+        assert np.array_equal(basis.weights, np.outer(w, w)), n
 
 
 def test_sym2_basis_rejects_out_of_range():
@@ -66,13 +59,11 @@ def test_form_matrix_is_symmetric_and_matches_direct_q(rng):
         assert np.max(np.abs(form.S - form.S.T)) <= 1e-12
         assert np.max(np.abs(form.S_Ro - form.S_Ro.T)) <= 1e-12
         # quadratic-form agreement: h^T S h == q(h) for random symmetric h
+        elements = sym2_elements(n)
         for _ in range(20):
             x = rng.standard_normal(basis.N)
-            h = np.einsum("a,aij->ij", x, basis.elements)
+            h = np.einsum("a,aij->ij", x, elements)
             assert x @ form.S @ x == pytest.approx(
-                stability.evaluate_q(summary, h), abs=1e-10
-            )
-            assert stability.evaluate_q(summary, h) == pytest.approx(
                 direct_q(summary.riemann.R, summary.ric, h), abs=1e-10
             )
 
@@ -82,7 +73,10 @@ def test_q_single_ricci_term_h3():
     summary = summary_of("heisenberg3")
     E33 = np.diag([0.0, 0.0, 1.0])
     # Ro part: R[2,2,2,2] = 0; Ricci part: Ric[2,2] * 1 = 0.5
-    assert stability.evaluate_q(summary, E33) == pytest.approx(0.5, abs=1e-14)
+    assert direct_q(summary.riemann.R, summary.ric, E33) == pytest.approx(0.5, abs=1e-14)
+    # E33 is basis element 2, so q(E33) is the diagonal entry S[2, 2]
+    form = stability.stability_form(summary, stability.sym2_basis(3))
+    assert form.S[2, 2] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_max_q_h3_matches_frozen_oracle():
