@@ -124,7 +124,7 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
         G = np.array([[_finite(x, "'metric' entry") for x in row] for row in rows])
         _check_metric(G)
 
-    hints = doc.get("hints") or {}
+    hints = {} if doc.get("hints") is None else doc["hints"]  # as for metric: absent or null
     if not isinstance(hints, dict):
         raise AlgebraFormatError("'hints' must be a JSON object")
     if hints.get("lambda") is not None:
@@ -333,27 +333,20 @@ def structure_profile(L) -> StructureProfile:
 
 
 def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
-    """Length of the lower central series, or 0 if it never reaches zero."""
+    """Length of the lower central series, or 0 if it never reaches zero.
+    The span shrinks at every step that goes on, so one of n + 1 steps returns."""
     n = beta.shape[0]
     basis = np.eye(n)  # columns span C^m
-    step = 0
-    for _ in range(n + 1):
-        step += 1
-        # [g, C^m]: all [e_i, v] for v in the current span
+    for step in itertools.count(1):
+        # [g, C^m]: all [e_i, v] for v in the current span, and its rank
         prods = (beta.transpose(2, 0, 1).reshape(n * n, n) @ basis).reshape(n, -1)
-        nxt = _column_span(prods, scale)
-        if nxt.shape[1] == 0:
+        u, s, _ = np.linalg.svd(prods, full_matrices=False)
+        rank = int(np.sum(~within(s, ROUND_TOL, max(float(s[0]), scale))))
+        if rank == 0:
             return step
-        if nxt.shape[1] >= basis.shape[1]:
+        if rank >= basis.shape[1]:
             return 0  # stabilized at a nonzero ideal: not nilpotent
-        basis = nxt
-    return 0
-
-
-def _column_span(A: np.ndarray, scale: float) -> np.ndarray:
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(~within(s, ROUND_TOL, max(float(s[0]), scale))))
-    return u[:, :rank]
+        basis = u[:, :rank]
 
 
 def _is_identity(G: np.ndarray) -> bool:

@@ -26,12 +26,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import algebra, curvature, flow, soliton, stability
-from .errors import Blowup, NotExpanding, PositivityLost, SolstabError
+from .errors import NotExpanding, SolstabError
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNSTABLE = 2
 EXIT_NOT_SOLITON = 3
+EXIT_CODES = {"stable": EXIT_STABLE, "not-a-soliton": EXIT_NOT_SOLITON}  # any other: EXIT_UNSTABLE
 
 TABLE_COLUMNS = ["#", "step", "λ", "trD", "maxq", "<?½trD", "maxRo", "<?−λ"]
 
@@ -47,17 +48,8 @@ class AnalysisRecord:
     timings: dict[str, float]
 
     @property
-    def verdict(self) -> str:
-        if self.report is None:  # set exactly when the certificate is accepted
-            return "not-a-soliton"
-        checks = [self.report.q_verdict]
-        if self.report.max_Ro is not None:
-            checks.append(self.report.Ro_verdict)
-        if all(v is True for v in checks):
-            return "stable"
-        if any(v is None for v in checks):
-            return "inconclusive"
-        return "unstable"
+    def verdict(self) -> str:  # report is set exactly when the certificate is accepted
+        return "not-a-soliton" if self.report is None else self.report.verdict
 
 
 @contextmanager
@@ -68,11 +60,11 @@ def _stage(timings: dict[str, float], name: str):
 
 
 @contextmanager
-def _naming(path, errors=SolstabError):
-    """Prefix the message of an error of these types raised inside with the path."""
+def _naming(path):
+    """Prefix the message of a SolstabError raised inside with the path."""
     try:
         yield
-    except errors as exc:
+    except SolstabError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -101,7 +93,7 @@ def analyze_file(
     """Run the full analysis pipeline on one .alg file."""
     timings: dict[str, float] = {}
     F, summary, cert = _certify(path, timings)
-    with _stage(timings, "curvature"):
+    with _stage(timings, "profile"):
         profile = algebra.structure_profile(F)
 
     report = gaussian_plan = gaussian_residual = None
@@ -138,11 +130,15 @@ def _fmt_verdict(v: bool | None) -> str:
     return "?" if v is None else "✓" if v else "✗"
 
 
+def _message_row(name: str, text: str) -> list[str]:
+    """A table row that carries one message in place of the verdict columns."""
+    return [name, "", "", "", "", text, "", ""]
+
+
 def record_row(rec: AnalysisRecord) -> list[str]:
     r = rec.report
     if r is None:
-        return [rec.name, "", "", "", "", "not a soliton "
-                f"(residual {rec.certificate.residual:.3e})", "", ""]
+        return _message_row(rec.name, f"not a soliton (residual {rec.certificate.residual:.3e})")
     return [
         rec.name,
         str(rec.profile.step),
@@ -222,11 +218,7 @@ def cmd_analyze(args) -> int:
                 f"k={p.k} bracket={p.bracket_value_at_k:.6g} "
                 f"product residual={residual}"
             )
-    if rec.verdict == "stable":
-        return EXIT_STABLE
-    if rec.verdict == "not-a-soliton":
-        return EXIT_NOT_SOLITON
-    return EXIT_UNSTABLE
+    return EXIT_CODES.get(rec.verdict, EXIT_UNSTABLE)
 
 
 def cmd_table(args) -> int:
@@ -238,8 +230,8 @@ def cmd_table(args) -> int:
     for path in sorted(root.glob("*.alg")):
         try:
             rows.append(record_row(analyze_file(path, extend=True)))
-        except (SolstabError, OSError) as exc:
-            rows.append([path.stem, "", "", "", "", f"error: {exc}", "", ""])
+        except SolstabError as exc:
+            rows.append(_message_row(path.stem, f"error: {exc}"))
     if args.format == "csv":
         print(_render_csv(rows), end="")
     else:
@@ -250,11 +242,10 @@ def cmd_table(args) -> int:
 def cmd_flow(args) -> int:
     F, _, cert = _certify(args.path, {})
     if not cert.accepted:
-        print(f"{args.path}: not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
-        return EXIT_NOT_SOLITON
+        return _not_a_soliton(args.path, cert)
     try:
         config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
-        with _naming(args.path, (PositivityLost, Blowup, NotExpanding)):  # the flow's errors
+        with _naming(args.path):
             trials = flow.perturbation_experiment(
                 F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
             )
@@ -280,9 +271,7 @@ def cmd_gaussian(args) -> int:
         ignore_stability=args.ignore_stability,
     )
     if rec.gaussian_plan is None:
-        print(f"{args.path}: not a soliton: residual {rec.certificate.residual:.3e}",
-              file=sys.stderr)
-        return EXIT_NOT_SOLITON
+        return _not_a_soliton(args.path, rec.certificate)
     p = rec.gaussian_plan
     print(f"mode: {p.mode}")
     print(f"C1 = {p.C1:.9g}")
@@ -291,6 +280,11 @@ def cmd_gaussian(args) -> int:
     print(f"bracket value at k: {p.bracket_value_at_k:.9g}")
     print(f"product soliton residual: {_fmt_round_off(rec)}")
     return EXIT_STABLE
+
+
+def _not_a_soliton(path, cert: soliton.SolitonCertificate) -> int:
+    print(f"{path}: not a soliton: residual {cert.residual:.3e}", file=sys.stderr)
+    return EXIT_NOT_SOLITON
 
 
 def _mode(mode: str) -> str:

@@ -125,9 +125,10 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
         ric = ricci_form(F.c)(eye, eye)
         contracted = np.einsum("ijki->jk", R)
         residual = float(np.max(np.abs(ric - contracted)))
+        scal = float(np.trace(ric))
     # a NaN residual would pass the comparison below and reach a verdict
     for quantity, value in (("Riemann tensor", R), ("Ricci tensor", ric),
-                            ("cross-check residual", residual)):
+                            ("scalar curvature", scal), ("cross-check residual", residual)):
         if not np.all(np.isfinite(value)):
             raise AlgebraFormatError(
                 f"curvature stage: {quantity} is not finite "
@@ -138,4 +139,4 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"
         )
-    return CurvatureSummary(ric, float(np.trace(ric)), RiemannTensor(R), residual)
+    return CurvatureSummary(ric, scal, RiemannTensor(R), residual)

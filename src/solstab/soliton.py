@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame, within
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
-from .errors import EinsteinVerificationFailed, NotExpanding
+from .errors import AlgebraFormatError, EinsteinVerificationFailed, NotExpanding
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,23 @@ def certify_soliton(
     """The soliton certificate of an orthonormal frame in closed form: D =
     Ric - lambda I, with lambda the hint, or 0 for abelian g, or else
     -<delta(Ric), c> / <c, c>, the least-squares solution of delta(D) =
-    delta(Ric) + lambda c = 0.  The defect is of c / max|c|, so nothing overflows."""
+    delta(Ric) + lambda c = 0.  delta is taken of c / max|c|, but its sums of
+    products of Ric may still overflow when max|c|^2 nears the float range: a
+    lambda or residual that is not finite raises AlgebraFormatError."""
     s = float(np.max(np.abs(F.c)))
     u, ric = F.c / (s or 1.0), summary.ric
-    if lambda_hint is not None:
-        lam = float(lambda_hint)
-    else:  # a steady soliton is flat, so a lambda within the tolerance is 0
-        lam = -float(np.vdot(derivation_defect(u, ric), u) / np.vdot(u, u)) if s else 0.0
-        lam = 0.0 if within(abs(lam), CERT_TOL, s * s) else lam
-    D = ric - lam * np.eye(F.dim)
-    defect = float(np.max(np.abs(derivation_defect(u, D))))  # max|delta(D)| / s
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        if lambda_hint is not None:
+            lam = float(lambda_hint)
+        else:  # a steady soliton is flat, so a lambda within the tolerance is 0
+            lam = -float(np.vdot(derivation_defect(u, ric), u) / np.vdot(u, u)) if s else 0.0
+            lam = 0.0 if within(abs(lam), CERT_TOL, s * s) else lam
+        D = ric - lam * np.eye(F.dim)
+        defect = float(np.max(np.abs(derivation_defect(u, D))))  # max|delta(D)| / s
+    for quantity, value in (("lambda", lam), ("residual", defect)):
+        if not np.isfinite(value):
+            raise AlgebraFormatError(f"soliton stage: {quantity} is not finite "
+                                     "(structure constants out of floating-point range)")
     unit = s * s or abs(lam)
     return SolitonCertificate(lam, D, s * defect, float(np.trace(D)),
                               accepted=within(defect, CERT_TOL, unit), degenerate=not s,
@@ -153,9 +160,9 @@ def rank_one_extension(F: MetricLieAlgebra, cert: SolitonCertificate) -> Einstei
     if reason is not None:
         raise ValueError(reason)
 
-    D = cert.derivation
-    n = F.dim
-    alpha = float(np.sqrt(-cert.lam / np.trace(D @ D)))
+    D, n = cert.derivation, F.dim
+    u = D / cert.scale  # tr D^2 is of degree 2 in the unit, so it is taken of D / unit
+    alpha = float(np.sqrt(-cert.lam / cert.scale / np.trace(u @ u) / cert.scale))
     c = np.zeros((n + 1, n + 1, n + 1))
     c[:n, :n, :n] = F.c
     # [A, e_j] = alpha D e_j, with A the new last basis vector

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CERT_TOL, TIE_TOL, within
+from .algebra import CERT_TOL, MAX_DIM, TIE_TOL, within
 from .curvature import CurvatureSummary
 from .errors import NotSymmetric
 from .soliton import SolitonCertificate
@@ -90,12 +90,17 @@ class StabilityReport:
     Ro_margin: float | None = None
     Ro_verdict: bool | None = None
 
+    @property
+    def verdict(self) -> str:  # over the criteria present: Ro only with an extension
+        checks = {self.q_verdict, True if self.max_Ro is None else self.Ro_verdict}
+        return "stable" if checks == {True} else "inconclusive" if None in checks else "unstable"
+
 
 @functools.cache
 def sym2_basis(n: int) -> Sym2Basis:
     """The basis of Sym^2 of R^n, built once per n; its arrays are read-only."""
-    if n < 1 or n > 17:
-        raise ValueError(f"n must be in 1..17, got {n}")
+    if n < 1 or n > MAX_DIM + 1:
+        raise ValueError(f"n must be in 1..{MAX_DIM + 1}, got {n}")
     iu, ju = np.triu_indices(n, k=1)
     diag = np.arange(n)
     pairs = np.array([np.concatenate([diag, iu]), np.concatenate([diag, ju])])

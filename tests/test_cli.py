@@ -306,7 +306,7 @@ def test_analyze_file_api_returns_record():
     assert rec.verdict == "stable"
     assert rec.report is not None
     assert rec.report.q_verdict is True
-    assert set(rec.timings) >= {"parse", "curvature", "soliton", "stability"}
+    assert set(rec.timings) >= {"parse", "curvature", "soliton", "profile", "stability"}
 
 
 def test_degenerate_abelian_uses_hint(capsys):
@@ -348,7 +348,7 @@ def test_non_soliton_through_every_output(tmp_path, capsys):
     assert "not a soliton (residual 1.333e+00)" in rows[1]
 
 
-SCALES = (1e-6, 1e-3, 1.0, 1e2, 1e4, 1e6)
+SCALES = (1e-100, 1e-6, 1e-3, 1.0, 1e2, 1e4, 1e6, 1e100)
 # e(2), [e3, e1] = e2 and [e3, e2] = -e1: flat, so a steady soliton with no verdict
 E2 = {"name": "e2", "dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}
 
@@ -382,7 +382,7 @@ def test_verdict_does_not_depend_on_bracket_scale(tmp_path, capsys, rng, name):
         doc = json.loads(out)
         assert (code, doc["verdict"], err) == (EXIT_STABLE, "stable", ""), s
         lams.append(doc["lambda"] / s**2)
-    assert max(lams) - min(lams) <= 1e-12 * abs(lams[2])
+    assert max(lams) - min(lams) <= 1e-12 * abs(lams[SCALES.index(1.0)])
 
 
 def test_flat_e2_is_inconclusive_at_every_scale(tmp_path, capsys, rng):
@@ -468,10 +468,20 @@ def test_metric_related_by_an_automorphism_gives_the_same_answer(tmp_path, a, b)
         ({"metric": [[1, 0, 0], [0, True, 0], [0, 0, 1]]}, "'metric'"),
         ({"metric": [["1", 0, 0], [0, 1, 0], [0, 0, "1e0"]]}, "'metric'"),
         ({"metric": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]}, "'metric'"),
+        # only an absent key or null means no hints, as for the metric
+        ({"hints": []}, "'hints'"),
+        ({"hints": 0}, "'hints'"),
+        ({"hints": False}, "'hints'"),
+        ({"hints": ""}, "'hints'"),
+        ({"dim": 0}, "dim must be in 1..16, got 0"),
+        ({"dim": 17}, "dim must be in 1..16, got 17"),
+        ({"brackets": {}}, "'brackets' must be a list"),
+        ({"metric": [[1, 0], [0, 1]]}, "metric must be 3x3"),
     ],
     ids=["lambda-text", "lambda-nan", "lambda-inf", "bracket-nan", "bracket-inf",
          "metric-nan", "dim-fraction", "dim-true", "index-true", "metric-true", "metric-text",
-         "metric-huge"],
+         "metric-huge", "hints-list", "hints-zero", "hints-false", "hints-empty-text",
+         "dim-zero", "dim-17", "brackets-object", "metric-2x2"],
 )
 def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     text = json.dumps({**H3, **change})  # NaN and Infinity as Python's json writes them
@@ -500,23 +510,33 @@ def test_small_scale_jacobi_failure_is_input_error(tmp_path, capsys):
     assert "Jacobi identity violated at triple (e1, e2, e3)" in err
 
 
-def test_non_finite_curvature_is_input_error(tmp_path, capsys):
-    # finite brackets whose curvature overflows: the cross-check residual is
-    # NaN, which no tolerance comparison rejects
-    path = write_alg(tmp_path, "huge", {"dim": 3, "brackets": [[1, 2, 3, 1e160]]})
-    code, out, err = run(capsys, "analyze", path)
+@pytest.mark.parametrize(
+    "name, s, stage",
+    [
+        ("heisenberg3", 1e160, "curvature stage: Riemann tensor"),
+        ("heisenberg3", 8e153, "soliton stage: lambda"),
+        ("heisenberg3", 1e154, "soliton stage: lambda"),
+        ("heisenberg3", 1.4e154, "curvature stage: scalar curvature"),
+        ("heisenberg5", 5e153, "soliton stage: lambda"),
+        ("heisenberg5", 1e154, "curvature stage: scalar curvature"),
+    ],
+    ids=["huge", "h3-8e153", "h3-1e154", "h3-1.4e154", "h5-5e153", "h5-1e154"],
+)
+def test_non_finite_curvature_is_input_error(tmp_path, capsys, name, s, stage):
+    # finite brackets whose curvature, its trace or the soliton's lambda
+    # overflows: a NaN would pass a tolerance comparison or read "not a soliton"
+    path = _rotated_copy(tmp_path, name, np.eye(catalog.load(name).dim), s)
+    code, out, err = run(capsys, "analyze", path, "--extend")
     assert (code, out) == (EXIT_INPUT_ERROR, "")
-    assert "Traceback" not in err
-    assert err.strip().splitlines()[-1].startswith("error:")
-    assert "curvature" in err
-    assert err.count(path) == 1
+    assert err.startswith(f"error: {path}: {stage} is not finite") and err.count("\n") == 1
+    assert "nan" not in err
 
     write_alg(tmp_path, "h3", H3)
     code, out, _ = run(capsys, "table", str(tmp_path))
     assert code == EXIT_STABLE
     rows = out.strip().splitlines()[1:]
-    assert rows[1].startswith("huge ") and "error: " in rows[1]
-    assert rows[1].count(path) == 1
+    assert rows[1].startswith(f"{Path(path).stem} ") and "error: " in rows[1]
+    assert rows[1].count(path) == 1 and stage in rows[1]
     assert "0.569" in rows[0]
 
 

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, flow, soliton
-from solstab.errors import NotExpanding, PositivityLost
+from solstab.errors import Blowup, NotExpanding, PositivityLost
 
 from conftest import framed, heisenberg15, random_solvable, random_spd
 
@@ -125,6 +127,23 @@ def test_integrate_flow_perturbation_decays():
     # residual samples are (weakly) decreasing up to integrator noise
     residuals = [s[1] for s in trace.samples]
     assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+
+
+@pytest.mark.parametrize(
+    "G0, error, message",
+    [
+        (2e6 * np.eye(3), Blowup, "metric norm exceeded 1e+06"),
+        (np.diag([1.0, 1.0, 1e-13]), PositivityLost, "condition number exceeded"),
+        (np.diag([1.0, 1.0, -1.0]), PositivityLost, "lost positive definiteness"),
+        (np.array([np.eye(3), np.diag([1.0, 1.0, 1e-13])]), PositivityLost,
+         "condition number exceeded"),
+    ],
+    ids=["norm", "condition", "indefinite", "stack-condition"],
+)
+def test_integrate_flow_aborts_on_a_bad_state(G0, error, message):
+    F, cert = certified("heisenberg3")
+    with pytest.raises(error, match=re.escape(message)):
+        flow.integrate_flow(F, G0, cert.lam, cert.derivation, flow.FlowConfig(dt=1e-3, t_max=1e-3))
 
 
 @pytest.mark.parametrize("name", ["heisenberg5", "solv4"])

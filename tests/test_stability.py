@@ -207,3 +207,18 @@ def test_max_q_invariant_under_orthogonal_frame_change(rng):
             assert stability.max_eigenvalue(fc.S) == pytest.approx(
                 expected, abs=1e-9
             )
+
+
+@pytest.mark.parametrize(
+    "q, ro, verdict",
+    [
+        (True, "absent", "stable"), (True, True, "stable"), (False, "absent", "unstable"),
+        (True, False, "unstable"), (None, "absent", "inconclusive"),
+        (True, None, "inconclusive"), (False, None, "inconclusive"), (None, False, "inconclusive"),
+    ],
+)
+def test_report_verdict_combines_the_criteria_present(q, ro, verdict):
+    # a tie in any criterion is inconclusive, even beside a failed one
+    extension = () if ro == "absent" else (1.0, 1.0, 0.0, ro)
+    report = stability.StabilityReport(1.0, 1.0, 0.0, q, -1.0, 2.0, *extension)
+    assert report.verdict == verdict
