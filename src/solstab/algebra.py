@@ -9,7 +9,8 @@ computes the derivation defect delta and reports structural invariants
 (step, unimodularity).  The derivation algebra Der(g) is the null space of
 delta, taken over the unit matrices.  The Jacobiator and delta are matrix
 products on reshaped views.
-It also holds every tolerance of the package, in one block of relative ones.
+It also holds every tolerance of the package, in one block of relative ones,
+and the one range error (`require_in_range`) of every stage.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import AlgebraFormatError, MetricError
 
 MAX_DIM = 16
 _NUMBERS = frozenset((int, float))  # JSON numbers; bool is a type of its own
+_OUT_OF_RANGE = "structure constants out of floating-point range"
 
 # Every tolerance of solstab, each relative.  A check accepts a residual r
 # when within(r, TOL, unit**d).  The unit is max|c|^2 in the basis at hand,
@@ -49,6 +51,17 @@ def within(residual, tol: float, unit):
         return residual / unit <= tol if unit else residual <= 0
 
 
+def require_in_range(*quantities, scale: float = 0.0) -> None:
+    """Raise AlgebraFormatError for the first (name, value) pair, in the order
+    given, whose value is not finite, and when max|c| = ``scale`` is nonzero but
+    its square is below the normal floats, where a verdict would read zeros."""
+    for quantity, value in quantities:
+        if not np.isfinite(value).all():
+            raise AlgebraFormatError(f"{quantity} is not finite ({_OUT_OF_RANGE})")
+    if scale and scale * scale < np.finfo(float).tiny:
+        raise AlgebraFormatError(f"max|c|^2 underflows ({_OUT_OF_RANGE})")
+
+
 @dataclass(frozen=True)
 class MetricLieAlgebra:
     """A Lie algebra with a chosen basis and inner product.
@@ -66,13 +79,13 @@ class MetricLieAlgebra:
 
     @property
     def bracket_tensor(self) -> np.ndarray:
-        """Coefficients beta[i,j,m] with [e_i, e_j] = sum_m beta[i,j,m] e_m.
-
-        The last index of the structure tensor is raised with G^{-1}.
-        """
+        """Coefficients beta[i,j,m] with [e_i, e_j] = sum_m beta[i,j,m] e_m, the
+        last index of the structure tensor raised with G^{-1}; where that leaves
+        the float range it is not finite, which `validate_algebra` rejects."""
         if _is_identity(self.metric):
             return self.c
-        return self.c @ np.linalg.inv(self.metric)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.c @ np.linalg.inv(self.metric)
 
 
 @dataclass(frozen=True)
@@ -86,9 +99,10 @@ class StructureProfile:
 
 @dataclass(frozen=True)
 class AlgebraDiagnostics:
-    jacobi_residual: float
+    jacobi_residual: float  # inf or 0 where max|beta|^2 leaves the float range
     ok: bool
     triple: tuple[int, int, int]  # 1-based, where the residual is attained
+    relative_residual: float  # jacobi_residual / max|beta|^2, finite at every scale
 
 
 def parse_algebra(text: str) -> MetricLieAlgebra:
@@ -236,12 +250,17 @@ def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
-    """Jacobi-identity diagnostics for a metric Lie algebra: the residual is
-    accepted up to ROUND_TOL max|beta|^2."""
+    """Jacobi-identity diagnostics, accepted up to ROUND_TOL max|beta|^2 (a beta not
+    finite is a range error), taken of beta / 2^e with max|beta| = m 2^e, 1/2 <= m
+    < 1: exact, so it cannot overflow; times 4^e the residual has beta's own bits."""
     beta = L.bracket_tensor
-    *triple, res = worst_jacobi_triple(beta)
-    scale = float(np.max(np.abs(beta)))
-    return AlgebraDiagnostics(res, within(res, ROUND_TOL, scale * scale), tuple(triple))
+    m, e = np.frexp(np.max(np.abs(beta)))
+    require_in_range(("bracket tensor", m))  # m is finite exactly when beta is
+    *triple, res = worst_jacobi_triple(np.ldexp(beta, -e))
+    with np.errstate(over="ignore"):
+        absolute = float(np.ldexp(res, 2 * e))
+    relative = float(res / (m * m)) if m else 0.0
+    return AlgebraDiagnostics(absolute, within(res, ROUND_TOL, m * m), tuple(triple), relative)
 
 
 def require_jacobi(L) -> None:
@@ -251,7 +270,7 @@ def require_jacobi(L) -> None:
         i, j, k = diag.triple
         raise AlgebraFormatError(
             f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
-            f"residual {diag.jacobi_residual:.3e}"
+            f"relative residual {diag.relative_residual:.3e}"
         )
 
 

@@ -10,6 +10,10 @@ Subcommands:
 Exit codes: 0 stable verdict, 1 input error, 2 unstable or inconclusive,
 3 not a soliton, or not expanding where an expanding soliton is needed
 (flow, gaussian, analyze --gaussian).
+
+Each step runs in one named, timed stage (`_stage`: parse, curvature, soliton,
+profile, stability, gaussian, flow), which owns the stage names: an error
+raised inside reads "<path>: <stage> stage: <message>".
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ class AnalysisRecord:
     certificate: soliton.SolitonCertificate
     report: stability.StabilityReport | None
     gaussian_plan: soliton.GaussianExtensionPlan | None
-    gaussian_residual: float | None
     timings: dict[str, float]
 
     @property
@@ -53,34 +56,28 @@ class AnalysisRecord:
 
 
 @contextmanager
-def _stage(timings: dict[str, float], name: str):
+def _stage(timings: dict[str, float], name: str, path):
+    """Time the block as stage ``name`` of the file ``path``; a SolstabError
+    raised inside is raised again with the path and the stage named."""
     t0 = time.perf_counter()
-    yield
-    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
-
-
-@contextmanager
-def _naming(path):
-    """Prefix the message of a SolstabError raised inside with the path."""
     try:
         yield
     except SolstabError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise type(exc)(f"{path}: {name} stage: {exc}") from None
+    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 def _certify(path, timings: dict[str, float]):
-    """Parse, validate and frame one .alg file; return the frame, its curvature
-    summary and its soliton certificate.  Every command starts with this stage,
-    and each error it raises names the file."""
-    with _naming(path):
-        with _stage(timings, "parse"):
-            L = algebra.load_algebra(path)
-            algebra.require_jacobi(L)
-        with _stage(timings, "curvature"):
-            F = algebra.orthonormal_frame(L)
-            summary = curvature.curvature_summary(F)
-        with _stage(timings, "soliton"):
-            cert = soliton.certify_soliton(F, summary, lambda_hint=L.hints.get("lambda"))
+    """Parse, validate and frame one .alg file in the three stages every command
+    starts with; return the frame, its curvature summary and its certificate."""
+    with _stage(timings, "parse", path):
+        L = algebra.load_algebra(path)
+        algebra.require_jacobi(L)
+    with _stage(timings, "curvature", path):
+        F = algebra.orthonormal_frame(L)
+        summary = curvature.curvature_summary(F)
+    with _stage(timings, "soliton", path):
+        cert = soliton.certify_soliton(F, summary, lambda_hint=L.hints.get("lambda"))
     return F, summary, cert
 
 
@@ -93,33 +90,28 @@ def analyze_file(
     """Run the full analysis pipeline on one .alg file."""
     timings: dict[str, float] = {}
     F, summary, cert = _certify(path, timings)
-    with _stage(timings, "profile"):
+    with _stage(timings, "profile", path):
         profile = algebra.structure_profile(F)
 
-    report = gaussian_plan = gaussian_residual = None
+    report = gaussian_plan = None
     if cert.accepted:
-        with _naming(path):
-            with _stage(timings, "stability"):
-                ext_summary = None
-                if extend and soliton.extension_obstruction(cert) is None:
-                    ext_summary = soliton.rank_one_extension(F, cert).summary
-                report = stability.stability_report(F, summary, cert, ext_summary)
-            if gaussian_mode is not None:
+        with _stage(timings, "stability", path):
+            ext_summary = None
+            if extend and soliton.extension_obstruction(cert) is None:
+                ext_summary = soliton.rank_one_extension(F, cert).summary
+            report = stability.stability_report(F, summary, cert, ext_summary)
+        if gaussian_mode is not None:
+            with _stage(timings, "gaussian", path):
                 gaussian_plan = soliton.gaussian_extension_dimension(
                     summary, summary.riemann, cert, report.max_q, mode=gaussian_mode,
                     ignore_stability=ignore_stability)
-                gaussian_residual = soliton.verify_gaussian_product(summary, cert, gaussian_plan.k)
 
-    return AnalysisRecord(F.name, profile, cert, report, gaussian_plan, gaussian_residual, timings)
-
-
-def _fmt_exact(x: float, unit: float, tol: float = algebra.TIE_TOL, spec: str = "g") -> str:
-    """x in spec, or 0 for rounding noise around an exact zero (tol units)."""
-    return "0" if algebra.within(abs(x), tol, unit) else f"{x:{spec}}"
+    return AnalysisRecord(F.name, profile, cert, report, gaussian_plan, timings)
 
 
-def _fmt_round_off(rec: AnalysisRecord) -> str:  # the product residual is pure rounding
-    return _fmt_exact(rec.gaussian_residual, rec.certificate.scale, algebra.ROUND_TOL, ".3e")
+def _fmt_exact(x: float, unit: float) -> str:
+    """x, or 0 for rounding noise around an exact zero (TIE_TOL units)."""
+    return "0" if algebra.within(abs(x), algebra.TIE_TOL, unit) else f"{x:g}"
 
 
 def _fmt3(x: float) -> str:
@@ -174,7 +166,6 @@ def record_json(rec: AnalysisRecord) -> dict:
     if rec.gaussian_plan is not None:
         out["gaussian"] = asdict(rec.gaussian_plan)
         del out["gaussian"]["lam"]
-        out["gaussian"]["product_residual"] = rec.gaussian_residual
     out["timings"] = rec.timings
     return out
 
@@ -212,11 +203,10 @@ def cmd_analyze(args) -> int:
         print(_render_table([record_row(rec)]))
         print(f"verdict: {rec.verdict}")
         if rec.gaussian_plan is not None:
-            p, residual = rec.gaussian_plan, _fmt_round_off(rec)
+            p = rec.gaussian_plan
             print(
                 f"gaussian extension ({p.mode}): C1={p.C1:.6g} C2={p.C2:.6g} "
-                f"k={p.k} bracket={p.bracket_value_at_k:.6g} "
-                f"product residual={residual}"
+                f"k={p.k} bracket={p.bracket_value_at_k:.6g}"
             )
     return EXIT_CODES.get(rec.verdict, EXIT_UNSTABLE)
 
@@ -243,15 +233,13 @@ def cmd_flow(args) -> int:
     F, _, cert = _certify(args.path, {})
     if not cert.accepted:
         return _not_a_soliton(args.path, cert)
-    try:
-        config = flow.FlowConfig(dt=args.dt, t_max=args.t_max)
-        with _naming(args.path):
+    with _stage({}, "flow", args.path):
+        try:
             trials = flow.perturbation_experiment(
-                F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed, config=config
-            )
-    except ValueError as exc:  # out-of-range flow arguments
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+                F, cert, eps=args.eps, n_trials=args.trials, seed=args.seed,
+                config=flow.FlowConfig(dt=args.dt, t_max=args.t_max))
+        except ValueError as exc:  # out-of-range flow arguments are input errors too
+            raise SolstabError(str(exc)) from None
     ok = True
     for t in trials:
         print(
@@ -278,7 +266,6 @@ def cmd_gaussian(args) -> int:
     print(f"C2 = {p.C2:.9g}")
     print(f"k = {p.k}")
     print(f"bracket value at k: {p.bracket_value_at_k:.9g}")
-    print(f"product soliton residual: {_fmt_round_off(rec)}")
     return EXIT_STABLE
 
 
@@ -332,12 +319,9 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]  # looked up per call, past the cached parser
     try:
         return command(args)
-    except NotExpanding as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SOLITON
     except (SolstabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_NOT_SOLITON if isinstance(exc, NotExpanding) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ROUND_TOL, MetricLieAlgebra, within
-from .errors import AlgebraFormatError, ContractionMismatch
+from .algebra import ROUND_TOL, MetricLieAlgebra, require_in_range, within
+from .errors import ContractionMismatch
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,10 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
     """Assemble Ricci, scalar curvature, and the Riemann tensor of an
     algebra in an orthonormal frame.
 
-    Raises AlgebraFormatError when a curvature quantity is not finite, and
-    ContractionMismatch when the closed-form Ricci and the Riemann
-    contraction sum_i R[i,j,k,i] disagree beyond ROUND_TOL max|c|^2 (Ricci is
-    quadratic in c).
+    Raises the range error of `algebra.require_in_range` when a curvature
+    quantity is not finite or max|c|^2 underflows, and ContractionMismatch
+    when the closed-form Ricci and the Riemann contraction sum_i R[i,j,k,i]
+    disagree beyond ROUND_TOL max|c|^2 (Ricci is quadratic in c).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         gamma = _gamma(F.c)
@@ -126,15 +126,10 @@ def curvature_summary(F: MetricLieAlgebra) -> CurvatureSummary:
         contracted = np.einsum("ijki->jk", R)
         residual = float(np.max(np.abs(ric - contracted)))
         scal = float(np.trace(ric))
-    # a NaN residual would pass the comparison below and reach a verdict
-    for quantity, value in (("Riemann tensor", R), ("Ricci tensor", ric),
-                            ("scalar curvature", scal), ("cross-check residual", residual)):
-        if not np.all(np.isfinite(value)):
-            raise AlgebraFormatError(
-                f"curvature stage: {quantity} is not finite "
-                "(structure constants out of floating-point range)"
-            )
     scale = float(np.max(np.abs(F.c)))
+    # a NaN residual would pass the comparison below and reach a verdict
+    require_in_range(("Riemann tensor", R), ("Ricci tensor", ric), ("scalar curvature", scal),
+                     ("cross-check residual", residual), scale=scale)
     if not within(residual, ROUND_TOL, scale * scale):
         raise ContractionMismatch(
             f"closed-form vs contracted Ricci residual {residual:.3e}"

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame, within
+from .algebra import (CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame,
+                      require_in_range, within)
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
-from .errors import AlgebraFormatError, EinsteinVerificationFailed, NotExpanding
+from .errors import EinsteinVerificationFailed, NotExpanding
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,9 @@ def certify_soliton(
     Ric - lambda I, with lambda the hint, or 0 for abelian g, or else
     -<delta(Ric), c> / <c, c>, the least-squares solution of delta(D) =
     delta(Ric) + lambda c = 0.  delta is taken of c / max|c|, but its sums of
-    products of Ric may still overflow when max|c|^2 nears the float range: a
-    lambda or residual that is not finite raises AlgebraFormatError."""
+    products of Ric may still overflow when max|c|^2 nears the float range, and
+    the residual max|delta(D)|, of degree 3, before them: a lambda or residual
+    that is not finite raises the range error (`algebra.require_in_range`)."""
     s = float(np.max(np.abs(F.c)))
     u, ric = F.c / (s or 1.0), summary.ric
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -70,12 +72,10 @@ def certify_soliton(
             lam = 0.0 if within(abs(lam), CERT_TOL, s * s) else lam
         D = ric - lam * np.eye(F.dim)
         defect = float(np.max(np.abs(derivation_defect(u, D))))  # max|delta(D)| / s
-    for quantity, value in (("lambda", lam), ("residual", defect)):
-        if not np.isfinite(value):
-            raise AlgebraFormatError(f"soliton stage: {quantity} is not finite "
-                                     "(structure constants out of floating-point range)")
+        residual = s * defect
+    require_in_range(("lambda", lam), ("residual", residual))
     unit = s * s or abs(lam)
-    return SolitonCertificate(lam, D, s * defect, float(np.trace(D)),
+    return SolitonCertificate(lam, D, residual, float(np.trace(D)),
                               accepted=within(defect, CERT_TOL, unit), degenerate=not s,
                               expanding=lam < 0, scale=unit)
 
