@@ -9,7 +9,7 @@ their top eigenvalues (LAPACK eigvalsh), and prints the same rows the
 """
 
 from solstab import algebra, catalog, curvature, soliton, stability
-from solstab.cli import analyze_file, record_row, TABLE_COLUMNS
+from solstab.cli import TABLE_COLUMNS, table_rows
 
 # ---------------------------------------------------------------------------
 # 1. One algebra in detail: the 5-dimensional Heisenberg nilsoliton.
@@ -40,9 +40,9 @@ max_Ro = stability.max_eigenvalue(ext_form.S_Ro)
 print(f"\nextension: max Ro = {max_Ro:.6f}  <  -lambda = {-cert.lam:g}  -> stable")
 
 # ---------------------------------------------------------------------------
-# 3. Whole-catalog table, exactly as the CLI renders it.
+# 3. Whole-catalog table, through the entry point of ``solstab table``: the
+#    algebras of one dimension are analyzed together, as one stack.
 # ---------------------------------------------------------------------------
 print("\n" + "  ".join(TABLE_COLUMNS))
-for name in catalog.catalog_names():
-    rec = analyze_file(catalog.catalog_path(name), extend=True)
-    print("  ".join(record_row(rec)))
+for row in table_rows([catalog.catalog_path(name) for name in catalog.catalog_names()]):
+    print("  ".join(row))

@@ -8,7 +8,8 @@ validates the Jacobi identity, moves the tensor into an orthonormal frame,
 computes the derivation defect delta and reports structural invariants
 (step, unimodularity).  The derivation algebra Der(g) is the null space of
 delta, taken over the unit matrices.  The Jacobiator and delta are matrix
-products on reshaped views.
+products on reshaped views, and take a stack of algebras of one dimension
+(`stack`) as well as one; `take` reads rows back out of a stacked result.
 It also holds every tolerance of the package, in one block of relative ones,
 and the one range error (`require_in_range`) of every stage.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import AlgebraFormatError, MetricError
 MAX_DIM = 16
 _NUMBERS = frozenset((int, float))  # JSON numbers; bool is a type of its own
 _OUT_OF_RANGE = "structure constants out of floating-point range"
+_TINY = np.finfo(float).tiny  # the least normal float
 
 # Every tolerance of solstab, each relative.  A check accepts a residual r
 # when within(r, TOL, unit**d).  The unit is max|c|^2 in the basis at hand,
@@ -47,18 +49,21 @@ def within(residual, tol: float, unit):
     """residual <= tol * unit, element-wise; the one comparison of every check.
     Dividing first is overflow-safe: an overflowed residual fails against an
     overflowed unit (inf / inf is NaN), and NaN always fails."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(unit, np.ndarray) and unit.ndim:  # one unit per row of a stack
+            return np.where(unit != 0, residual / unit <= tol, residual <= 0)
         return residual / unit <= tol if unit else residual <= 0
 
 
 def require_in_range(*quantities, scale: float = 0.0) -> None:
     """Raise AlgebraFormatError for the first (name, value) pair, in the order
-    given, whose value is not finite, and when max|c| = ``scale`` is nonzero but
-    its square is below the normal floats, where a verdict would read zeros."""
+    given, whose value is not finite, and when max|c| = ``scale`` (of a stack,
+    one per row) is nonzero but its square is below the normal floats, where a
+    verdict would read zeros."""
     for quantity, value in quantities:
         if not np.isfinite(value).all():
             raise AlgebraFormatError(f"{quantity} is not finite ({_OUT_OF_RANGE})")
-    if scale and scale * scale < np.finfo(float).tiny:
+    if ((scale != 0) & (scale * scale < _TINY)).any():
         raise AlgebraFormatError(f"max|c|^2 underflows ({_OUT_OF_RANGE})")
 
 
@@ -85,7 +90,28 @@ class MetricLieAlgebra:
         if _is_identity(self.metric):
             return self.c
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.c @ np.linalg.inv(self.metric)
+            return self.c @ np.linalg.inv(self.metric)[..., None, :, :]
+
+
+def stack(algebras) -> MetricLieAlgebra:
+    """Algebras of one dimension as one, with a leading stack axis on c and the
+    metric, which the kernels take as they take one; a stack of one is itself."""
+    return algebras[0] if len(algebras) == 1 else MetricLieAlgebra(
+        ", ".join(L.name for L in algebras), algebras[0].dim,
+        *map(np.stack, zip(*((L.c, L.metric) for L in algebras))))
+
+
+def take(result, index=()):
+    """The rows ``index`` (an integer, or a mask) of a result of a stack: a
+    dataclass, nested ones included, whose arrays carry the stack axis.  A value
+    of ndim 0 comes out a Python scalar, so take(result) of one algebra's
+    result makes its numpy scalars Python ones."""
+    def row(value):
+        if isinstance(value, (np.ndarray, np.generic)):
+            value = value[index]  # of an object array, a Python value
+            return value.item() if getattr(value, "ndim", None) == 0 else value
+        return take(value, index) if is_dataclass(value) else value
+    return type(result)(**{name: row(value) for name, value in vars(result).items()})
 
 
 @dataclass(frozen=True)
@@ -234,19 +260,21 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def worst_jacobi_triple(beta: np.ndarray) -> tuple[int, int, int, float]:
+def worst_jacobi_triple(beta: np.ndarray):
     """The (i, j, k) triple (1-based) with the largest Jacobi violation, and
     that violation: the max-norm of [[x,y],z] + [[y,z],x] + [[z,x],y] over
-    basis triples."""
-    n = beta.shape[0]
+    basis triples; of a stack of bracket tensors, an array of each per row."""
+    n, batch = beta.shape[-1], beta.shape[:-3]
     # X[i,j,k,m] = [[e_i,e_j],e_k]_m; the other two terms are X[j,k,i,m] and X[k,i,j,m]
-    X = (beta @ beta.reshape(n, n * n)).reshape(n, n, n, n)
-    jac = X + X.transpose(2, 0, 1, 3)
-    jac += X.transpose(1, 2, 0, 3)
-    np.abs(jac, out=jac)
+    X = (beta @ beta.reshape(*batch, 1, n, n * n)).reshape(*batch, n, n, n, n)
+    b = len(batch)
+    jac = X + X.transpose(*range(b), b + 2, b, b + 1, b + 3)
+    jac += X.transpose(*range(b), b + 1, b + 2, b, b + 3)
+    jac = np.abs(jac, out=jac).reshape(*batch, n ** 4)
     # the first maximal entry in C order lies in the first maximal triple
-    i, j, k, m = np.unravel_index(np.argmax(jac), jac.shape)
-    return int(i) + 1, int(j) + 1, int(k) + 1, float(jac[i, j, k, m])
+    at = jac.argmax(axis=-1)
+    i, j, k, _ = np.unravel_index(at, (n, n, n, n))
+    return i + 1, j + 1, k + 1, np.take_along_axis(jac, at[..., None], -1)[..., 0]
 
 
 def validate_algebra(L) -> AlgebraDiagnostics:
@@ -254,23 +282,23 @@ def validate_algebra(L) -> AlgebraDiagnostics:
     finite is a range error), taken of beta / 2^e with max|beta| = m 2^e, 1/2 <= m
     < 1: exact, so it cannot overflow; times 4^e the residual has beta's own bits."""
     beta = L.bracket_tensor
-    m, e = np.frexp(np.max(np.abs(beta)))
+    m, e = np.frexp(np.max(np.abs(beta), axis=(-3, -2, -1)))
     require_in_range(("bracket tensor", m))  # m is finite exactly when beta is
-    *triple, res = worst_jacobi_triple(np.ldexp(beta, -e))
+    *triple, res = worst_jacobi_triple(np.ldexp(beta, -e[..., None, None, None]))
     with np.errstate(over="ignore"):
-        absolute = float(np.ldexp(res, 2 * e))
-    relative = float(res / (m * m)) if m else 0.0
+        absolute = np.ldexp(res, 2 * e)
+    relative = res / np.where(m, m * m, 1.0)  # res is 0 where beta is
     return AlgebraDiagnostics(absolute, within(res, ROUND_TOL, m * m), tuple(triple), relative)
 
 
 def require_jacobi(L) -> None:
-    """Raise AlgebraFormatError naming the worst triple when Jacobi fails."""
+    """Raise AlgebraFormatError naming the worst triple when Jacobi fails (of each row)."""
     diag = validate_algebra(L)
-    if not diag.ok:
+    if not np.all(diag.ok):
         i, j, k = diag.triple
         raise AlgebraFormatError(
             f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
-            f"relative residual {diag.relative_residual:.3e}"
+            f"relative residual {np.max(diag.relative_residual):.3e}"
         )
 
 
@@ -290,8 +318,9 @@ def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
     # <[new_a, new_b], new_c> = sum c[i,j,k] M[i,a] M[j,b] M[k,c]; contract
     # k, then i, then j, as matrix products on (n, n^2) reshapes
     n = L.dim
-    c = (M.T @ (L.c @ M).reshape(n, n * n)).reshape(n, n, n)
-    c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # a curvature-stage range error
+        c = (M.T @ (L.c @ M).reshape(n, n * n)).reshape(n, n, n)
+        c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
     return replace(L, c=c.transpose(1, 0, 2), metric=np.eye(n))
 
 
@@ -325,13 +354,13 @@ def derivation_defect(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """delta(X)[i,j,k]: component k of X[e_i,e_j] - [X e_i, e_j] - [e_i, X e_j].
 
     X is a derivation exactly when delta(X) = 0.  delta is linear in X, and
-    delta(I) = -beta.  X may carry leading batch axes.
+    delta(I) = -beta.  X may carry leading batch axes, and beta a stack axis.
     """
-    n = beta.shape[0]
+    n, batch = beta.shape[-1], beta.shape[:-3]
     XT, shape = X.swapaxes(-1, -2), (*X.shape[:-2], n, n, n)
-    first = (beta.reshape(n * n, n) @ XT).reshape(shape)  # X[e_i, e_j]
-    second = (XT @ beta.reshape(n, n * n)).reshape(shape)  # [X e_i, e_j]
-    third = (XT @ beta.transpose(1, 0, 2).reshape(n, n * n)).reshape(shape)
+    first = (beta.reshape(*batch, n * n, n) @ XT).reshape(shape)  # X[e_i, e_j]
+    second = (XT @ beta.reshape(*batch, n, n * n)).reshape(shape)  # [X e_i, e_j]
+    third = (XT @ beta.swapaxes(-3, -2).reshape(*batch, n, n * n)).reshape(shape)
     return first - second - third.swapaxes(-3, -2)  # third[j, i] = [e_i, X e_j]
 
 
@@ -368,9 +397,8 @@ def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
         basis = u[:, :rank]
 
 
-def _is_identity(G: np.ndarray) -> bool:
-    n = G.shape[0]
-    return bool(np.array_equal(G, np.eye(n)))
+def _is_identity(G: np.ndarray) -> bool:  # every metric of a stack
+    return bool((G == np.eye(G.shape[-1])).all())
 
 
 def _check_metric(G: np.ndarray) -> None:

@@ -14,6 +14,11 @@ Exit codes: 0 stable verdict, 1 input error, 2 unstable or inconclusive,
 Each step runs in one named, timed stage (`_stage`: parse, curvature, soliton,
 profile, stability, gaussian, flow), which owns the stage names: an error
 raised inside reads "<path>: <stage> stage: <message>".
+
+Every command runs one pipeline on a stack of algebras of one dimension: a
+stack of one for analyze, gaussian and flow, while `table` stacks its files
+by dimension, up to STACK_ENTRIES, and runs a stack that raises again row by
+row, so each error row reads as that file alone would.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import algebra, curvature, flow, soliton, stability
-from .errors import NotExpanding, SolstabError
+from .errors import AlgebraFormatError, NotExpanding, SolstabError
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
@@ -39,6 +46,10 @@ EXIT_NOT_SOLITON = 3
 EXIT_CODES = {"stable": EXIT_STABLE, "not-a-soliton": EXIT_NOT_SOLITON}  # any other: EXIT_UNSTABLE
 
 TABLE_COLUMNS = ["#", "step", "λ", "trD", "maxq", "<?½trD", "maxRo", "<?−λ"]
+
+# At most this many Riemann entries in a stack's extensions: 9 rows of dim 8.  On
+# table-kp8 it adds 1.6 MiB to the peak RSS of 32.6 (16 rows of dim 8 add 3.4).
+STACK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -67,18 +78,57 @@ def _stage(timings: dict[str, float], name: str, path):
     timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _certify(path, timings: dict[str, float]):
-    """Parse, validate and frame one .alg file in the three stages every command
-    starts with; return the frame, its curvature summary and its certificate."""
+def _read(path, timings: dict[str, float]) -> algebra.MetricLieAlgebra:
     with _stage(timings, "parse", path):
-        L = algebra.load_algebra(path)
-        algebra.require_jacobi(L)
-    with _stage(timings, "curvature", path):
-        F = algebra.orthonormal_frame(L)
-        summary = curvature.curvature_summary(F)
-    with _stage(timings, "soliton", path):
-        cert = soliton.certify_soliton(F, summary, lambda_hint=L.hints.get("lambda"))
-    return F, summary, cert
+        return algebra.load_algebra(path)
+
+
+def _certify(where: str, algebras, timings: dict[str, float]):
+    """The stages every command starts with, on a stack of algebras of one
+    dimension from the files ``where``: frames, stack, summary, certificate."""
+    with _stage(timings, "parse", where):
+        algebra.require_jacobi(algebra.stack(algebras))
+    with _stage(timings, "curvature", where):
+        frames = [algebra.orthonormal_frame(L) for L in algebras]
+        summary = curvature.curvature_summary(F := algebra.stack(frames))
+    with _stage(timings, "soliton", where):
+        hints = np.array([L.hints.get("lambda") for L in algebras], dtype=float)  # None: NaN
+        cert = soliton.certify_soliton(F, summary, hints.reshape(F.c.shape[:-3]))
+    return frames, F, summary, cert
+
+
+def _analyze(paths, algebras, timings: dict[str, float], extend: bool = False,
+             gaussian_mode: str | None = None, ignore_stability: bool = False):
+    """The analysis pipeline on a stack of algebras of one dimension, one record
+    per row; not a soliton, no extension and a tie are masks over the rows."""
+    where = ", ".join(map(str, paths))
+    frames, F, summary, cert = _certify(where, algebras, timings)
+    with _stage(timings, "profile", where):
+        profiles = [algebra.structure_profile(frame) for frame in frames]
+
+    row = algebra.take if len(frames) > 1 else lambda result, r: result  # one: no stack axis
+    certs = [row(cert, r) for r in range(len(frames))]
+    reports, plans = [None] * len(frames), [None] * len(frames)
+    if (ok := np.asarray(cert.accepted)).any():
+        with _stage(timings, "stability", where):
+            ext = ok & (np.equal(soliton.extension_obstruction(cert), None) if extend else False)
+            for rows in (ext, ok & ~ext):  # the rows with an extension, then the rest
+                if rows.any():
+                    part = [x if rows.all() else algebra.take(x, rows) for x in (F, summary, cert)]
+                    ext_summary = (soliton.rank_one_extension(part[0], part[2]).summary
+                                   if rows is ext else None)
+                    report = stability.stability_report(*part, ext_summary)
+                    for k, r in enumerate(np.flatnonzero(rows)):
+                        reports[r] = row(report, k)
+        if gaussian_mode is not None:
+            with _stage(timings, "gaussian", where):
+                for r in np.flatnonzero(ok):
+                    base = row(summary, r)
+                    plans[r] = soliton.gaussian_extension_dimension(
+                        base, base.riemann, certs[r], reports[r].max_q, mode=gaussian_mode,
+                        ignore_stability=ignore_stability)
+    return [AnalysisRecord(frame.name, profile, certs[r], reports[r], plans[r], timings)
+            for r, (frame, profile) in enumerate(zip(frames, profiles))]
 
 
 def analyze_file(
@@ -87,26 +137,38 @@ def analyze_file(
     gaussian_mode: str | None = None,
     ignore_stability: bool = False,
 ) -> AnalysisRecord:
-    """Run the full analysis pipeline on one .alg file."""
+    """Run the full analysis pipeline on one .alg file, as a stack of one."""
     timings: dict[str, float] = {}
-    F, summary, cert = _certify(path, timings)
-    with _stage(timings, "profile", path):
-        profile = algebra.structure_profile(F)
+    L = _read(path, timings)
+    return _analyze([path], [L], timings, extend, gaussian_mode, ignore_stability)[0]
 
-    report = gaussian_plan = None
-    if cert.accepted:
-        with _stage(timings, "stability", path):
-            ext_summary = None
-            if extend and soliton.extension_obstruction(cert) is None:
-                ext_summary = soliton.rank_one_extension(F, cert).summary
-            report = stability.stability_report(F, summary, cert, ext_summary)
-        if gaussian_mode is not None:
-            with _stage(timings, "gaussian", path):
-                gaussian_plan = soliton.gaussian_extension_dimension(
-                    summary, summary.riemann, cert, report.max_q, mode=gaussian_mode,
-                    ignore_stability=ignore_stability)
 
-    return AnalysisRecord(F.name, profile, cert, report, gaussian_plan, timings)
+def table_rows(paths: list[Path]) -> list[list[str]]:
+    """The `table` row of each .alg file, in order.  Each file is read alone; the
+    algebras of one dimension run with --extend in stacks, each once it is full."""
+    rows, stacks = {}, {}
+    for path in paths:
+        try:
+            L = _read(path, {})
+        except SolstabError as exc:
+            rows[path] = _message_row(path.stem, f"error: {exc}")
+            continue
+        stacks.setdefault(L.dim, []).append((path, L))
+        if len(stacks[L.dim]) >= STACK_ENTRIES // (L.dim + 1) ** 4:
+            rows.update(_stack_rows(stacks.pop(L.dim)))
+    for items in stacks.values():
+        rows.update(_stack_rows(items))
+    return [rows[path] for path in paths]
+
+
+def _stack_rows(items) -> dict:  # path -> row, of a stack of (path, algebra) items
+    paths, algebras = zip(*items)
+    try:
+        return dict(zip(paths, map(record_row, _analyze(paths, algebras, {}, extend=True))))
+    except SolstabError as exc:
+        if len(items) > 1:  # again row by row, so the error fills its own row alone
+            return dict(row for item in items for row in _stack_rows([item]).items())
+        return {paths[0]: _message_row(paths[0].stem, f"error: {exc}")}
 
 
 def _fmt_exact(x: float, unit: float) -> str:
@@ -213,15 +275,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_table(args) -> int:
     root = Path(args.dir)
-    if not root.is_dir():
-        print(f"error: {root} is not a directory", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    rows = []
-    for path in sorted(root.glob("*.alg")):
-        try:
-            rows.append(record_row(analyze_file(path, extend=True)))
-        except SolstabError as exc:
-            rows.append(_message_row(path.stem, f"error: {exc}"))
+    with _stage({}, "parse", root):
+        if not root.is_dir():
+            raise AlgebraFormatError("not a directory")
+        paths = sorted(root.glob("*.alg"))
+    rows = table_rows(paths)
     if args.format == "csv":
         print(_render_csv(rows), end="")
     else:
@@ -230,7 +288,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    F, _, cert = _certify(args.path, {})
+    (F,), _, _, cert = _certify(args.path, [_read(args.path, {})], {})
     if not cert.accepted:
         return _not_a_soliton(args.path, cert)
     with _stage({}, "flow", args.path):

@@ -4,7 +4,8 @@ Certifies Ric = lambda * id + D with D a derivation in closed form,
 certifies Einstein metrics, builds rank-one solvable Einstein extensions,
 and computes how many flat Gaussian directions must be added to force
 strict linear stability.  The tolerances are `algebra.CERT_TOL` in the
-certificate's unit, ``scale``.
+certificate's unit, ``scale``.  The certificate, the Einstein check and the
+extension take a stack of algebras of one dimension as they take one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame,
-                      require_in_range, within)
+                      require_in_range, take, within)
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
 from .errors import EinsteinVerificationFailed, NotExpanding
 
@@ -61,23 +62,28 @@ def certify_soliton(
     delta(Ric) + lambda c = 0.  delta is taken of c / max|c|, but its sums of
     products of Ric may still overflow when max|c|^2 nears the float range, and
     the residual max|delta(D)|, of degree 3, before them: a lambda or residual
-    that is not finite raises the range error (`algebra.require_in_range`)."""
-    s = float(np.max(np.abs(F.c)))
-    u, ric = F.c / (s or 1.0), summary.ric
+    that is not finite raises the range error (`algebra.require_in_range`).
+    Of a stack, the hint is an array with NaN in the rows that have none."""
+    axes, stack = (-3, -2, -1), F.c.shape[:-3]
+    s = np.max(np.abs(F.c), axis=axes)
+    u, ric = F.c / np.where(s, s, 1.0)[..., None, None, None], summary.ric
+    hint = np.asarray(lambda_hint, dtype=float)  # None is NaN; a parsed hint is finite
+
+    def dot(x, y):  # <x, y> per row, as one dot product each
+        return (x.reshape(*stack, 1, -1) @ y.reshape(*stack, -1, 1))[..., 0, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if lambda_hint is not None:
-            lam = float(lambda_hint)
-        else:  # a steady soliton is flat, so a lambda within the tolerance is 0
-            lam = -float(np.vdot(derivation_defect(u, ric), u) / np.vdot(u, u)) if s else 0.0
-            lam = 0.0 if within(abs(lam), CERT_TOL, s * s) else lam
-        D = ric - lam * np.eye(F.dim)
-        defect = float(np.max(np.abs(derivation_defect(u, D))))  # max|delta(D)| / s
+        # u = 0 where s is, and its lambda 0; a steady soliton is flat, so a
+        # lambda within the tolerance is 0
+        lam = -dot(derivation_defect(u, ric), u) / (dot(u, u) + (s == 0))
+        lam = np.where(np.isnan(hint), np.where(within(abs(lam), CERT_TOL, s * s), 0.0, lam), hint)
+        D = ric - lam[..., None, None] * np.eye(F.dim)
+        defect = np.max(np.abs(derivation_defect(u, D)), axis=axes)  # max|delta(D)| / s
         residual = s * defect
     require_in_range(("lambda", lam), ("residual", residual))
-    unit = s * s or abs(lam)
-    return SolitonCertificate(lam, D, residual, float(np.trace(D)),
-                              accepted=within(defect, CERT_TOL, unit), degenerate=not s,
-                              expanding=lam < 0, scale=unit)
+    unit = np.where(s * s, s * s, abs(lam))
+    return take(SolitonCertificate(lam, D, residual, np.trace(D, axis1=-2, axis2=-1),
+                                   accepted=within(defect, CERT_TOL, unit), degenerate=s == 0,
+                                   expanding=lam < 0, scale=unit))
 
 
 def solve_algebraic_soliton(
@@ -120,8 +126,9 @@ def solve_algebraic_soliton(
 def check_einstein(summary: CurvatureSummary) -> EinsteinCertificate:
     """Certify Ric = lambda I with lambda = scal / n, up to CERT_TOL |lambda|:
     an Einstein metric's unit is |lambda| = max|Ric|."""
-    lam = summary.scal / summary.dim
-    residual = float(np.max(np.abs(summary.ric - lam * np.eye(summary.dim))))
+    lam = np.divide(summary.scal, summary.dim)
+    residual = np.max(np.abs(summary.ric - lam[..., None, None] * np.eye(summary.dim)),
+                      axis=(-2, -1))
     return EinsteinCertificate(lam, residual, accepted=within(residual, CERT_TOL, abs(lam)))
 
 
@@ -132,19 +139,21 @@ class EinsteinExtension(MetricLieAlgebra):
     summary: CurvatureSummary
 
 
-def extension_obstruction(cert: SolitonCertificate) -> str | None:
-    """Why ``cert`` admits no rank-one Einstein extension, or None if it does.
+_OBSTRUCTIONS = np.array(["certificate not accepted (residual too large)",
+                          "extension requires lambda < 0", "extension requires tr D > 0",
+                          "extension requires D positive semidefinite"], dtype=object)
+
+
+def extension_obstruction(cert: SolitonCertificate):
+    """Why ``cert`` admits no rank-one Einstein extension, or None if it does;
+    of a stacked certificate, an object array with one of these per row.
     The round-off D of an Einstein metric has none at any bracket scale."""
     D = cert.derivation
-    if not cert.accepted:
-        return "certificate not accepted (residual too large)"
-    if cert.lam >= 0:
-        return f"extension requires lambda < 0, got {cert.lam}"
-    if within(cert.trace_D, CERT_TOL, cert.scale):
-        return f"extension requires tr D > 0, got {cert.trace_D}"
-    if not within(-np.linalg.eigvalsh(0.5 * (D + D.T)).min(), CERT_TOL, cert.scale):
-        return "extension requires D positive semidefinite"
-    return None
+    least = np.linalg.eigvalsh(0.5 * (D + D.swapaxes(-1, -2)))[..., 0]
+    bad = np.array([np.logical_not(cert.accepted), np.greater_equal(cert.lam, 0),
+                    within(cert.trace_D, CERT_TOL, cert.scale),
+                    np.logical_not(within(-least, CERT_TOL, cert.scale))])
+    return np.where(bad.any(axis=0), _OBSTRUCTIONS[bad.argmax(axis=0)], None)[()]
 
 
 def rank_one_extension(F: MetricLieAlgebra, cert: SolitonCertificate) -> EinsteinExtension:
@@ -154,27 +163,27 @@ def rank_one_extension(F: MetricLieAlgebra, cert: SolitonCertificate) -> Einstei
     extension Einstein with the same lambda; this is verified a posteriori
     via the curvature pipeline rather than trusted, and the verified
     curvature summary is returned with the extension.  Raises ValueError
-    when ``extension_obstruction(cert)`` names a reason.
+    when ``extension_obstruction(cert)`` names a reason, for any row of a stack.
     """
-    reason = extension_obstruction(cert)
-    if reason is not None:
-        raise ValueError(reason)
+    for reason in np.ravel(extension_obstruction(cert)):
+        if reason is not None:
+            raise ValueError(reason)
 
-    D, n = cert.derivation, F.dim
-    u = D / cert.scale  # tr D^2 is of degree 2 in the unit, so it is taken of D / unit
-    alpha = float(np.sqrt(-cert.lam / cert.scale / np.trace(u @ u) / cert.scale))
-    c = np.zeros((n + 1, n + 1, n + 1))
-    c[:n, :n, :n] = F.c
+    D, n, scale = cert.derivation, F.dim, np.asarray(cert.scale)[..., None, None]
+    u = D / scale  # tr D^2 is of degree 2 in the unit, so it is taken of D / unit
+    alpha = np.sqrt(-cert.lam / cert.scale / np.trace(u @ u, axis1=-2, axis2=-1) / cert.scale)
+    c = np.zeros((*F.c.shape[:-3], n + 1, n + 1, n + 1))
+    c[..., :n, :n, :n] = F.c
     # [A, e_j] = alpha D e_j, with A the new last basis vector
-    c[:n, n, :n] = -alpha * D.T
-    c[n, :n, :n] = alpha * D.T
+    c[..., n, :n, :n] = np.asarray(alpha)[..., None, None] * D.swapaxes(-1, -2)
+    c[..., :n, n, :n] = -c[..., n, :n, :n]
     ext = MetricLieAlgebra(f"{F.name}+solvext", n + 1, c, np.eye(n + 1))
     summary = curvature_summary(orthonormal_frame(ext))
     ecert = check_einstein(summary)
-    if not ecert.accepted or not within(abs(ecert.lam - cert.lam), CERT_TOL, cert.scale):
+    if not np.all(ecert.accepted & within(abs(ecert.lam - cert.lam), CERT_TOL, cert.scale)):
         raise EinsteinVerificationFailed(
             f"extension is not Einstein at lambda={cert.lam}: "
-            f"residual {ecert.residual:.3e}, lambda {ecert.lam}"
+            f"residual {np.max(ecert.residual):.3e}, lambda {ecert.lam}"
         )
     return EinsteinExtension(**vars(ext), summary=summary)
 

@@ -11,6 +11,8 @@ not multiplied out as P M P^T.
 Both sides are of degree 2 in the brackets, so a margin is measured in the
 algebra's unit, SolitonCertificate.scale = max|c|^2: one within
 algebra.TIE_TOL units of zero is inconclusive, at every bracket scale.
+The gathers, the eigen-solve and the report take a stack of algebras of one
+dimension as they take one; a stacked report has one row each.
 """
 
 from __future__ import annotations
@@ -68,13 +70,17 @@ class StabilityForm:
 
     def _gather(self, ric: np.ndarray | None) -> np.ndarray:
         (i, j), a, R = self.basis.pairs, np.arange(self.basis.N), self.summary.riemann.R
-        rows = R[i, :, :, j] + R[j, :, :, i]  # rows[a, p, q] = M[(i,j),(p,q)] + M[(j,i),(p,q)]
-        if ric is not None:
-            rows[a, :, j] += ric[i]
-            rows[a, :, i] += ric[j]
-            rows[a, i, :] += ric.T[j]
-            rows[a, j, :] += ric.T[i]
-        return self.basis.weights * (rows[:, i, j] + rows[:, j, i])
+        # rows[a, ..., p, q] = M[(i,j),(p,q)] + M[(j,i),(p,q)], a stack's axes after a
+        rows, stack = R[..., i, :, :, j], range(R.ndim - 4)
+        rows += R[..., j, :, :, i]
+        if ric is not None:  # ric[..., r, :] and ric[..., :, r] at [r]
+            ric_rows, ric_cols = ric.transpose(-2, *stack, -1), ric.transpose(-1, *stack, -2)
+            rows[a, ..., :, j] += ric_rows[i]
+            rows[a, ..., :, i] += ric_rows[j]
+            rows[a, ..., i, :] += ric_cols[j]
+            rows[a, ..., j, :] += ric_cols[i]
+        S = rows[:, ..., i, j] + rows[:, ..., j, i]
+        return self.basis.weights * S.transpose(*(k + 1 for k in stack), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,8 @@ def stability_form(summary: CurvatureSummary, basis: Sym2Basis) -> StabilityForm
 
 
 def jacobi_eigenvalues(S: np.ndarray, unit: float | None = None) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, from LAPACK eigvalsh.
+    """All eigenvalues of a symmetric matrix, or of each in a stack, ascending,
+    from LAPACK eigvalsh.
 
     Input whose asymmetry max|S - S^T| exceeds CERT_TOL unit raises
     NotSymmetric; the unit is the algebra's max|c|^2 for a stability form,
@@ -128,20 +135,25 @@ def jacobi_eigenvalues(S: np.ndarray, unit: float | None = None) -> np.ndarray:
     the eigen-solve by it.
     """
     S = np.asarray(S, dtype=float)
-    unit = float(np.max(np.abs(S))) if unit is None else unit
-    if not within(float(np.max(np.abs(S - S.T))), CERT_TOL, unit):
+    ST, axes = S.swapaxes(-1, -2), (-2, -1)
+    unit = np.max(np.abs(S), axis=axes) if unit is None else unit
+    if not np.all(within(np.max(np.abs(S - ST), axis=axes), CERT_TOL, unit)):
         raise NotSymmetric("matrix is not symmetric")
-    return np.linalg.eigvalsh(0.5 * (S + S.T))
+    return np.linalg.eigvalsh(0.5 * (S + ST))
 
 
-def max_eigenvalue(S: np.ndarray, unit: float | None = None) -> float:
-    """Largest eigenvalue of a symmetric matrix (see jacobi_eigenvalues)."""
-    return float(jacobi_eigenvalues(S, unit)[-1])
+def max_eigenvalue(S: np.ndarray, unit: float | None = None):
+    """Largest eigenvalue of a symmetric matrix, or of each in a stack."""
+    return jacobi_eigenvalues(S, unit)[..., -1][()]
 
 
-def _verdict(margin: float, unit: float) -> bool | None:
-    """True or False by the margin's sign, None within TIE_TOL units of zero."""
-    return None if within(abs(margin), TIE_TOL, unit) else margin > 0
+_VERDICTS = np.array([False, True, None], dtype=object)
+
+
+def _verdict(margin, unit):
+    """True or False by the margin's sign, None within TIE_TOL units of zero
+    (of a stack, an object array)."""
+    return _VERDICTS[np.where(within(abs(margin), TIE_TOL, unit), 2, np.greater(margin, 0))]
 
 
 def stability_report(
@@ -151,7 +163,7 @@ def stability_report(
     extension_summary: CurvatureSummary | None = None,
 ) -> StabilityReport:
     """One table row: max q against tr(D)/2, and, when an extension summary
-    is supplied, max Ro of the extension against -lambda."""
+    is supplied, max Ro of the extension against -lambda (of a stack, a row each)."""
     max_q = max_eigenvalue(stability_form(summary, sym2_basis(F.dim)).S, cert.scale)
     threshold = 0.5 * cert.trace_D
     q_margin = threshold - max_q

@@ -3,9 +3,11 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,8 +225,9 @@ def test_table_csv_quotes_error_rows(tmp_path, capsys):
 
 
 def test_table_not_a_directory(capsys):
-    code, _, err = run(capsys, "table", "/nonexistent/dir")
-    assert code == EXIT_INPUT_ERROR
+    code, out, err = run(capsys, "table", "/nonexistent/dir")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == "error: /nonexistent/dir: parse stage: not a directory\n"
 
 
 def test_table_survives_bad_file(tmp_path, capsys):
@@ -587,6 +590,70 @@ def test_thin_metric_passes_the_ricci_cross_check(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", write_alg(tmp_path, "thin", doc), "--extend")
     assert (code, err) == (EXIT_STABLE, "")
     assert out.endswith("verdict: stable\n")
+
+
+def test_metric_that_takes_the_frame_out_of_range_is_a_range_error(tmp_path, capsys):
+    # c G^-1 is finite, but the frame's constants c M M M (M of order 1e8) are
+    # not, and the curvature stage names them, with no warning from the frame
+    doc = {"dim": 3, "brackets": [[1, 2, 3, 1e300]],
+           "metric": [[1e-16, 0, 0], [0, 1e-16, 0], [0, 0, 1]]}
+    path = write_alg(tmp_path, "thin", doc)
+    message = (f"error: {path}: curvature stage: Riemann tensor is not finite "
+               "(structure constants out of floating-point range)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", message + "\n")
+        code, out, err = run(capsys, "table", str(tmp_path))
+    assert (code, err) == (EXIT_STABLE, "")
+    assert re.fullmatch(rf"thin +{re.escape(message)}", out.splitlines()[1])
+
+
+def _per_file_row(path):
+    try:
+        return cli.record_row(analyze_file(path, extend=True))
+    except solstab.errors.SolstabError as exc:
+        return cli._message_row(Path(path).stem, f"error: {exc}")
+
+
+def test_table_stacks_give_the_rows_of_each_file_alone(monkeypatch, tmp_path, capsys, rng):
+    # stacks of 3 dim-3 rows, so dim 3 spans four stacks, the last one partial,
+    # with parse-, curvature- and soliton-stage errors and a not-a-soliton row
+    # among good ones
+    for name in catalog.catalog_names():
+        shutil.copy(catalog.catalog_path(name), tmp_path)
+    for name in ("heisenberg3", "heisenberg5"):
+        Q = random_orthogonal(rng, catalog.load(name).dim)
+        for s in (1e-3, 1.0, 1e3):
+            _rotated_copy(tmp_path, name, Q, s)
+    write_alg(tmp_path, "h3_metric", {**H3, "metric": [[2, 0.5, 0], [0.5, 1, 0], [0, 0, 3]]})
+    write_alg(tmp_path, "heisenberg3_2_broken", NOT_LIE3)
+    write_alg(tmp_path, "heisenberg3_3_jordan", JORDAN3)
+    (tmp_path / "heisenberg3_4_malformed.alg").write_text("{broken")
+    for s in (8e153, 1e155):  # a soliton-stage and a curvature-stage range fault
+        _rotated_copy(tmp_path, "heisenberg3", np.eye(3), s)
+    paths = sorted(tmp_path.glob("*.alg"))
+    monkeypatch.setattr(cli, "STACK_ENTRIES", 3 * 4 ** 4)
+    sizes = []
+    analyze = cli._analyze
+    monkeypatch.setattr(cli, "_analyze",
+                        lambda p, *args, **kw: sizes.append(len(p)) or analyze(p, *args, **kw))
+    rows = cli.table_rows(paths)
+    assert sizes.count(3) >= 3 and 2 in sizes  # 11 dim-3 rows in stacks 3, 3, 3 and 2
+    assert rows == [_per_file_row(path) for path in paths]
+    assert sorted(row[5].split(": ")[2] for row in rows if "error: " in row[5]) == [
+        "curvature stage", "parse stage", "parse stage", "soliton stage"]
+    assert sum("not a soliton" in row[5] for row in rows) == 1
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    assert (code, out) == (EXIT_STABLE, cli._render_table(rows) + "\n")
+
+    # a bad row in the middle of one stack leaves its neighbours' rows as they are
+    sizes.clear()
+    middle = [tmp_path / "heisenberg3_1.alg", tmp_path / "heisenberg3_2_broken.alg",
+              tmp_path / "heisenberg3_1000.alg"]
+    rows = cli.table_rows(middle)
+    assert sizes[0] == 3 and rows == [_per_file_row(path) for path in middle]
+    assert "Jacobi identity violated" in rows[1][5]
 
 
 def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):

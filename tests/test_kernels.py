@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from solstab import algebra, catalog, curvature, stability
+from solstab import algebra, catalog, curvature, soliton, stability
 
 from conftest import conjugate_framed, framed, random_orthogonal, random_solvable, random_spd
 from oracles import (
@@ -177,3 +177,123 @@ def test_sym2_basis_is_built_once_and_read_only():
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 2.0
         assert (basis.pairs[0, 0], basis.weights[0, 0]) == (0, 0.25)
+
+
+def stacks():
+    """Stacks of algebras of one dimension, each row in a rotated orthonormal
+    basis and at its own bracket scale: random solvable ones (not unimodular,
+    so Ricci runs its Killing and tau terms), a mixed dim-3 stack, and
+    solitons with a rank-one extension (nilpotent: no Killing or tau term).
+    A lambda within CERT_TOL of a row's own unit is 0, but not one of another's."""
+    rng = np.random.default_rng(14)
+    scales = (1e-2, 1.0, 1e2)
+
+    def rotated(F, s):
+        return replace(conjugate_framed(F, random_orthogonal(rng, F.dim)), c=s * F.c)
+
+    out = [[rotated(algebra.orthonormal_frame(random_solvable(rng, n)), s) for s in scales]
+           for n in range(2, 10)]
+    e2 = algebra.parse_algebra('{"dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}')
+    out.append([rotated(F, s) for F, s in ((e2, 1e3), (framed("heisenberg3"), 1e-2),
+                                           (framed("su2"), 1e2), (framed("abelian3"), 1.0),
+                                           (framed("heisenberg3"), 1.0))])
+    out += [[rotated(framed(name), s) for s in scales] for name in ("heisenberg5", "solv4")]
+    return out
+
+
+STACKS = stacks()
+STACK_IDS = [f"{rows[0].name}-{rows[0].dim}" for rows in STACKS]
+STACK_TOL = 1e-14  # of (max|c|^2)^d for a quantity of degree d in max|c|^2
+
+
+def assert_rows(stacked, per_row, units, degree=1):
+    """Row r of ``stacked`` against ``per_row[r]``, within STACK_TOL units[r]**degree,
+    where units are max|c|^2 and the degree is the quantity's in it."""
+    assert len(stacked) == len(per_row) == len(units)
+    for got, want, unit in zip(stacked, per_row, units):
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= STACK_TOL * unit ** degree
+
+
+@pytest.mark.parametrize("rows", STACKS, ids=STACK_IDS)
+def test_stacked_kernels_match_each_row_alone(rows):
+    F = algebra.stack(rows)
+    units = [np.max(np.abs(L.c)) ** 2 for L in rows]
+    assert F.c.shape == (len(rows), *rows[0].c.shape)
+
+    diag, alone = algebra.validate_algebra(F), [algebra.validate_algebra(L) for L in rows]
+    assert list(diag.ok) == [d.ok for d in alone]
+    assert_rows(diag.jacobi_residual, [d.jacobi_residual for d in alone], units)
+    X = np.random.default_rng(F.dim).standard_normal((len(rows), F.dim, F.dim))
+    assert_rows(algebra.derivation_defect(F.c, X),
+                [algebra.derivation_defect(L.c, x) for L, x in zip(rows, X)], units, 0.5)
+
+    gamma = curvature._gamma(F.c)
+    assert_rows(gamma, [curvature._gamma(L.c) for L in rows], units, 0.5)
+    assert_rows(curvature._riemann(F.c, gamma),
+                [curvature._riemann(L.c, g) for L, g in zip(rows, gamma)], units)
+    G = random_spd(np.random.default_rng(F.dim), F.dim, (len(rows),))
+    A = np.linalg.inv(G)
+    assert_rows(curvature.ricci_form(F.c)(G, A),
+                [curvature.ricci_form(L.c)(g, a) for L, g, a in zip(rows, G, A)],
+                [u * np.max(np.abs(g)) * np.max(np.abs(a)) ** 2 for u, g, a in zip(units, G, A)])
+
+    summary = curvature.curvature_summary(F)
+    summaries = [curvature.curvature_summary(L) for L in rows]
+    assert_rows(summary.riemann.R, [s.riemann.R for s in summaries], units)
+    assert_rows(summary.ric, [s.ric for s in summaries], units)
+    assert_rows(summary.scal, [s.scal for s in summaries], units)
+
+    cert = soliton.certify_soliton(F, summary, np.full(len(rows), np.nan))
+    certs = [soliton.certify_soliton(L, s) for L, s in zip(rows, summaries)]
+    for name in ("lam", "derivation", "trace_D", "scale"):
+        assert_rows(getattr(cert, name), [getattr(c, name) for c in certs], units)
+    assert_rows(cert.residual, [c.residual for c in certs], units, 1.5)
+    assert [lam == 0.0 for lam in cert.lam] == [c.lam == 0.0 for c in certs]
+    for name in ("accepted", "degenerate", "expanding"):
+        assert list(getattr(cert, name)) == [getattr(c, name) for c in certs]
+    reasons = soliton.extension_obstruction(cert)
+    assert list(reasons) == [soliton.extension_obstruction(c) for c in certs]
+    einstein = soliton.check_einstein(summary)
+    einsteins = [soliton.check_einstein(s) for s in summaries]
+    assert list(einstein.accepted) == [e.accepted for e in einsteins]
+    assert_rows(einstein.lam, [e.lam for e in einsteins], units)
+
+    ok = np.asarray(cert.accepted)
+    ext = ok & np.equal(reasons, None)
+    for group in (ext, ok & ~ext):  # as the table runs them: with an extension, the rest
+        if not group.any():
+            continue
+        part = [algebra.take(x, group) for x in (F, summary, cert)]
+        ext_summary = soliton.rank_one_extension(part[0], part[2]).summary if group is ext else None
+        report = stability.stability_report(*part, ext_summary)
+        for k, r in enumerate(np.flatnonzero(group)):
+            row_ext = soliton.rank_one_extension(rows[r], certs[r]).summary if ext[r] else None
+            want = stability.stability_report(rows[r], summaries[r], certs[r], row_ext)
+            got = algebra.take(report, k)
+            assert (got.q_verdict, got.Ro_verdict) == (want.q_verdict, want.Ro_verdict)
+            assert_rows([got.max_q, got.q_margin], [want.max_q, want.q_margin], [units[r]] * 2)
+            if row_ext is None:
+                assert got.max_Ro is want.max_Ro is None
+            else:
+                assert_rows([got.max_Ro, ext_summary.riemann.R[k]],
+                            [want.max_Ro, row_ext.riemann.R], [units[r]] * 2)
+    form = stability.stability_form(summary, stability.sym2_basis(F.dim))
+    forms = [stability.stability_form(s, stability.sym2_basis(F.dim)) for s in summaries]
+    assert_rows(form.S, [f.S for f in forms], units)
+    assert_rows(form.S_Ro, [f.S_Ro for f in forms], units)
+    assert_rows(stability.max_eigenvalue(form.S, cert.scale),
+                [stability.max_eigenvalue(f.S, c.scale) for f, c in zip(forms, certs)], units)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_jacobi_finds_each_rows_triple(n):
+    # a broken bracket tensor per row, so each triple stands out of round-off
+    rng = np.random.default_rng(600 + n)
+    beta = rng.standard_normal((4, n, n, n))
+    beta -= beta.swapaxes(-3, -2)
+    *triple, res = algebra.worst_jacobi_triple(beta)
+    for r, b in enumerate(beta):
+        i, j, k, want = algebra.worst_jacobi_triple(b)
+        assert (triple[0][r], triple[1][r], triple[2][r]) == (i, j, k)
+        assert abs(res[r] - want) <= STACK_TOL * np.max(np.abs(b)) ** 2
