@@ -8,8 +8,10 @@ validates the Jacobi identity, moves the tensor into an orthonormal frame,
 computes the derivation defect delta and reports structural invariants
 (step, unimodularity).  The derivation algebra Der(g) is the null space of
 delta, taken over the unit matrices.  The Jacobiator and delta are matrix
-products on reshaped views, and take a stack of algebras of one dimension
-(`stack`) as well as one; `take` reads rows back out of a stacked result.
+products on reshaped views; they and the structure profile take a stack of
+algebras of one dimension (`stack`) as well as one.  `take` reads rows, or a
+masked sub-stack, back out of a stacked result, and `rows` reads every row
+of it at once, field by field.
 It also holds every tolerance of the package, in one block of relative ones,
 and the one range error (`require_in_range`) of every stage.
 """
@@ -114,6 +116,17 @@ def take(result, index=()):
     return type(result)(**{name: row(value) for name, value in vars(result).items()})
 
 
+def rows(result, count: int) -> list:
+    """take(result, r) for each row r < count of a result of a stack, read
+    column-wise: one tolist() or row view per field, not an index per row."""
+    def column(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist() if value.ndim == 1 else list(value)
+        return rows(value, count) if is_dataclass(value) else [value] * count
+    columns = {name: column(value) for name, value in vars(result).items()}
+    return [type(result)(**dict(zip(columns, cells))) for cells in zip(*columns.values())]
+
+
 @dataclass(frozen=True)
 class StructureProfile:
     """Structural invariants: nilpotency step and unimodularity."""
@@ -131,13 +144,14 @@ class AlgebraDiagnostics:
     relative_residual: float  # jacobi_residual / max|beta|^2, finite at every scale
 
 
-def parse_algebra(text: str) -> MetricLieAlgebra:
+def parse_algebra(text: str, default_name: str = "unnamed") -> MetricLieAlgebra:
     """Parse a .alg document (JSON) into a MetricLieAlgebra.
 
-    Keys: name (text), dim (integer), brackets (list of [i, j, k, value]
-    with integer indices i < j, 1-based, and finite values), metric
-    (optional n x n row-major symmetric matrix of finite numbers), hints
-    (optional object, e.g. {"lambda": -1.0} with a finite number).
+    Keys: name (optional text; ``default_name`` when absent or null), dim
+    (integer), brackets (list of [i, j, k, value] with integer indices i < j,
+    1-based, and finite values), metric (optional n x n row-major symmetric
+    matrix of finite numbers), hints (optional object, e.g. {"lambda": -1.0}
+    with a finite number).
     """
     try:
         doc = json.loads(text)
@@ -148,7 +162,9 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
     n = _integer(doc.get("dim"), "'dim'")
     if n < 1 or n > MAX_DIM:
         raise AlgebraFormatError(f"dim must be in 1..{MAX_DIM}, got {n}")
-    name = str(doc.get("name", "unnamed"))
+    name = default_name if doc.get("name") is None else doc["name"]
+    if not isinstance(name, str):
+        raise AlgebraFormatError(f"'name' must be text, got {name!r}")
 
     raw_entries = doc.get("brackets", [])
     if not isinstance(raw_entries, list):
@@ -173,15 +189,15 @@ def parse_algebra(text: str) -> MetricLieAlgebra:
 
 
 def load_algebra(path) -> MetricLieAlgebra:
-    """Read and parse one .alg file.  A file that cannot be read, or is not
-    UTF-8 text, raises AlgebraFormatError like a malformed document."""
+    """Read and parse one .alg file, named by its stem when it has no name; one
+    unreadable or not UTF-8 text raises AlgebraFormatError like a malformed one."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = (path := Path(path)).read_text(encoding="utf-8")
     except OSError as exc:
         raise AlgebraFormatError(exc.strerror) from None
     except UnicodeDecodeError:
         raise AlgebraFormatError("not UTF-8 text") from None
-    return parse_algebra(text)
+    return parse_algebra(text, path.stem)
 
 
 def algebra_hints(text: str) -> dict:
@@ -192,21 +208,12 @@ def algebra_hints(text: str) -> dict:
 def _bracket_tensor(entries: list, n: int) -> np.ndarray:
     """The dense structure tensor of a list of bracket entries.
 
-    The entries are checked column by column.  Each check cuts the list at
-    the first entry it rejects, so the first bad entry in list order is found,
-    and only it is formatted into a message (`_reject_entry`).
+    Each check runs on the whole list and cuts it at the first entry it
+    rejects, so the first bad entry in list order is found, and only it is
+    formatted into a message (`_reject_entry`).
     """
-    first = len(entries)
-    if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
-        first = next(e for e, raw in enumerate(entries)
-                     if type(raw) is not list or len(raw) != 4)
-    cells = list(zip(*entries[:first])) or [()] * 4
-    # JSON numbers (a bool is not one), then numbers within float range
-    first = _cut(map(_NUMBERS.__contains__, map(type, itertools.chain(*cells))), first)
-    cells = [col[:first] for col in cells]
-    first = _cut(map(sys.float_info.max.__ge__, map(abs, itertools.chain(*cells))), first)
-    a = np.array([col[:first] for col in cells], dtype=float).reshape(4, first)
-    idx, v = a[:3], a[3]
+    a = _numbers(entries)
+    first, idx, v = a.shape[1], a[:3], a[3]
     # integral indices in 1..n with i < j, and no (i, j, k) twice
     ok = np.all((idx == np.floor(idx)) & (idx >= 1) & (idx <= n), axis=0) & (idx[0] < idx[1])
     i, j, k = np.where(ok, idx - 1, 0).astype(int)
@@ -222,10 +229,23 @@ def _bracket_tensor(entries: list, n: int) -> np.ndarray:
     return c
 
 
-def _cut(flags, first: int) -> int:
-    """The first entry with a False flag, or first; flags run column by column."""
-    ok = np.fromiter(flags, bool, 4 * first).reshape(4, first).all(axis=0)
-    return first if ok.all() else int(np.argmin(ok))
+def _numbers(entries: list) -> np.ndarray:
+    """The entries as a (4, count) float array, cut before the first that is
+    not a list of 4 JSON numbers (a bool is not one) in float range.  One scan
+    of the types and one conversion decide a whole list; only a list they
+    reject is scanned entry by entry for its first bad one."""
+    if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}
+            and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBERS):
+        try:  # < max also rejects an integer past it that rounds down to max
+            a = np.fromiter(itertools.chain.from_iterable(entries), float, 4 * len(entries))
+            if (np.abs(a) < sys.float_info.max).all():
+                return a.reshape(-1, 4).T
+        except OverflowError:  # an integer past the float range
+            pass
+    first = next((e for e, raw in enumerate(entries) if type(raw) is not list or len(raw) != 4
+                  or not all(type(x) in _NUMBERS and abs(x) <= sys.float_info.max for x in raw)),
+                 len(entries))
+    return np.array(entries[:first], dtype=float).reshape(-1, 4).T
 
 
 def _reject_entry(raw, n: int):
@@ -365,36 +385,41 @@ def derivation_defect(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def structure_profile(L) -> StructureProfile:
-    """Nilpotency step and unimodularity."""
+    """Nilpotency step and unimodularity; of a stack, arrays with one of each
+    per row, from one batched lower central series (`_nilpotency_step`)."""
     beta = L.bracket_tensor
     # rank and trace decisions use the overall bracket scale, not the
     # (possibly numerically-zero) quantity at hand, so roundoff never revives
     # the series and the verdicts do not change when the brackets are scaled
-    scale = float(np.max(np.abs(beta)))
-    traces = np.einsum("ikk->i", beta)  # tr(ad e_i)
-    step = _nilpotency_step(beta, scale)
-    return StructureProfile(
-        step=step,
-        nilpotent=step > 0,
-        unimodular=bool(within(np.max(np.abs(traces)), ROUND_TOL, scale)),
-    )
+    scale = np.max(np.abs(beta), axis=(-3, -2, -1))
+    traces = np.einsum("...ikk->...i", beta)  # tr(ad e_i)
+    step = _nilpotency_step(beta.reshape(-1, *beta.shape[-3:]), scale.ravel()).reshape(scale.shape)
+    return take(StructureProfile(step=step, nilpotent=step > 0, unimodular=within(
+        np.max(np.abs(traces), axis=-1), ROUND_TOL, scale)))
 
 
-def _nilpotency_step(beta: np.ndarray, scale: float) -> int:
-    """Length of the lower central series, or 0 if it never reaches zero.
-    The span shrinks at every step that goes on, so one of n + 1 steps returns."""
-    n = beta.shape[0]
-    basis = np.eye(n)  # columns span C^m
+def _nilpotency_step(beta: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Length of the lower central series of each row of a stack, or 0 where it
+    never reaches zero.  Each step is one batched SVD over the rows still live,
+    their bases of C^m zero-padded to the widest; a row leaves when its rank
+    reaches 0 or stops shrinking, so every row leaves within n + 1 steps."""
+    n = beta.shape[-1]
+    ad = beta.transpose(0, 3, 1, 2).reshape(-1, n * n, n)  # ad[m*n + i, j] = beta[i,j,m]
+    steps, live, scale = np.zeros(len(beta), int), np.arange(len(beta)), scale[:, None]
+    basis, width = np.eye(n), n  # columns span C^m; its rank
     for step in itertools.count(1):
         # [g, C^m]: all [e_i, v] for v in the current span, and its rank
-        prods = (beta.transpose(2, 0, 1).reshape(n * n, n) @ basis).reshape(n, -1)
-        u, s, _ = np.linalg.svd(prods, full_matrices=False)
-        rank = int(np.sum(~within(s, ROUND_TOL, max(float(s[0]), scale))))
-        if rank == 0:
-            return step
-        if rank >= basis.shape[1]:
-            return 0  # stabilized at a nonzero ideal: not nilpotent
-        basis = u[:, :rank]
+        u, s, _ = np.linalg.svd((ad @ basis).reshape(len(ad), n, -1), full_matrices=False)
+        big = ~within(s, ROUND_TOL, np.maximum(s[:, :1], scale))  # a prefix of s
+        rank = big.sum(axis=1)
+        go = (rank > 0) & (rank < width)  # rank >= width: a nonzero ideal, not nilpotent
+        if not go.all():  # rows leave
+            steps[live[rank == 0]] = step
+            if not go.any():
+                return steps
+            live, ad, scale, u, big, rank = live[go], ad[go], scale[go], u[go], big[go], rank[go]
+        width, top = rank, rank.max()
+        basis = u[:, :, :top] * big[:, None, :top]  # zero past each row's rank
 
 
 def _is_identity(G: np.ndarray) -> bool:  # every metric of a stack

@@ -18,7 +18,9 @@ raised inside reads "<path>: <stage> stage: <message>".
 Every command runs one pipeline on a stack of algebras of one dimension: a
 stack of one for analyze, gaussian and flow, while `table` stacks its files
 by dimension, up to STACK_ENTRIES, and runs a stack that raises again row by
-row, so each error row reads as that file alone would.
+row, so each error row reads as that file alone would.  Every stage after the
+parse, the profile too, runs once per stack, and the records are read out of
+its results field by field (`algebra.rows`).
 """
 
 from __future__ import annotations
@@ -104,39 +106,35 @@ def _analyze(paths, algebras, timings: dict[str, float], extend: bool = False,
     where = ", ".join(map(str, paths))
     frames, F, summary, cert = _certify(where, algebras, timings)
     with _stage(timings, "profile", where):
-        profiles = [algebra.structure_profile(frame) for frame in frames]
+        profile = algebra.structure_profile(F)
 
-    row = algebra.take if len(frames) > 1 else lambda result, r: result  # one: no stack axis
-    certs = [row(cert, r) for r in range(len(frames))]
-    reports, plans = [None] * len(frames), [None] * len(frames)
+    def rows(result, count=len(frames)):  # a stack of one has no stack axis
+        return algebra.rows(result, count) if len(frames) > 1 else [result]
+    certs, reports, plans = rows(cert), [None] * len(frames), [None] * len(frames)
     if (ok := np.asarray(cert.accepted)).any():
         with _stage(timings, "stability", where):
             ext = ok & (np.equal(soliton.extension_obstruction(cert), None) if extend else False)
-            for rows in (ext, ok & ~ext):  # the rows with an extension, then the rest
-                if rows.any():
-                    part = [x if rows.all() else algebra.take(x, rows) for x in (F, summary, cert)]
+            for mask in (ext, ok & ~ext):  # the rows with an extension, then the rest
+                if mask.any():
+                    part = [x if mask.all() else algebra.take(x, mask) for x in (F, summary, cert)]
                     ext_summary = (soliton.rank_one_extension(part[0], part[2]).summary
-                                   if rows is ext else None)
+                                   if mask is ext else None)
                     report = stability.stability_report(*part, ext_summary)
-                    for k, r in enumerate(np.flatnonzero(rows)):
-                        reports[r] = row(report, k)
+                    for r, rep in zip(np.flatnonzero(mask), rows(report, int(mask.sum()))):
+                        reports[r] = rep
         if gaussian_mode is not None:
             with _stage(timings, "gaussian", where):
+                bases = rows(summary)
                 for r in np.flatnonzero(ok):
-                    base = row(summary, r)
                     plans[r] = soliton.gaussian_extension_dimension(
-                        base, base.riemann, certs[r], reports[r].max_q, mode=gaussian_mode,
-                        ignore_stability=ignore_stability)
-    return [AnalysisRecord(frame.name, profile, certs[r], reports[r], plans[r], timings)
-            for r, (frame, profile) in enumerate(zip(frames, profiles))]
+                        bases[r], bases[r].riemann, certs[r], reports[r].max_q,
+                        mode=gaussian_mode, ignore_stability=ignore_stability)
+    return [AnalysisRecord(frame.name, *row, timings)
+            for frame, *row in zip(frames, rows(profile), certs, reports, plans)]
 
 
-def analyze_file(
-    path,
-    extend: bool = False,
-    gaussian_mode: str | None = None,
-    ignore_stability: bool = False,
-) -> AnalysisRecord:
+def analyze_file(path, extend: bool = False, gaussian_mode: str | None = None,
+                 ignore_stability: bool = False) -> AnalysisRecord:
     """Run the full analysis pipeline on one .alg file, as a stack of one."""
     timings: dict[str, float] = {}
     L = _read(path, timings)
@@ -233,15 +231,9 @@ def record_json(rec: AnalysisRecord) -> dict:
 
 
 def _render_table(rows: list[list[str]]) -> str:
-    header = TABLE_COLUMNS
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(TABLE_COLUMNS, *rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                     for row in [TABLE_COLUMNS, *rows])
 
 
 def _render_csv(rows: list[list[str]]) -> str:
@@ -251,12 +243,8 @@ def _render_csv(rows: list[list[str]]) -> str:
 
 
 def cmd_analyze(args) -> int:
-    rec = analyze_file(
-        args.path,
-        extend=args.extend,
-        gaussian_mode=_mode(args.mode) if args.gaussian else None,
-        ignore_stability=args.ignore_stability,
-    )
+    rec = analyze_file(args.path, extend=args.extend, ignore_stability=args.ignore_stability,
+                       gaussian_mode=_mode(args.mode) if args.gaussian else None)
     if args.format == "json":
         print(json.dumps(record_json(rec), indent=2))
     elif args.format == "csv":
@@ -311,11 +299,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    rec = analyze_file(
-        args.path,
-        gaussian_mode=_mode(args.mode),
-        ignore_stability=args.ignore_stability,
-    )
+    rec = analyze_file(args.path, gaussian_mode=_mode(args.mode),
+                       ignore_stability=args.ignore_stability)
     if rec.gaussian_plan is None:
         return _not_a_soliton(args.path, rec.certificate)
     p = rec.gaussian_plan

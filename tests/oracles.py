@@ -9,8 +9,12 @@ the derivation constraints are assembled one row at a time.  The tensor
 kernels of the verdict path (Riemann, Jacobiator, derivation defect, the
 Sym^2 form) have references here in their index form, as einsum and kron.
 The flow's Ricci kernel, prepared once per bracket tensor, has as its
-reference the same closed form evaluated whole on every call.
+reference the same closed form evaluated whole on every call.  The bracket
+list parser has as its reference the column-by-column version it replaced.
 """
+
+import itertools
+import sys
 
 import numpy as np
 
@@ -235,3 +239,46 @@ def ricci_tensor_reference(beta, G, A):
     killing = rows @ beta.transpose(0, 2, 1).reshape(n, n * n).T
     U = (beta.trace(axis1=1, axis2=2) @ W).reshape(*batch, n, n)
     return first - second - 0.5 * killing - (U + U.swapaxes(-1, -2))
+
+
+_NUMBERS = frozenset((int, float))
+
+
+def bracket_tensor_reference(entries, n):
+    """The dense structure tensor of a list of bracket entries, checked column
+    by column: each check cuts the list at the first entry it rejects, and the
+    first bad entry in list order is raised by `algebra._reject_entry`, which
+    writes the message.  So a comparison tests which entry is named, and the
+    tensor."""
+    from solstab import algebra
+
+    first = len(entries)
+    if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
+        first = next(e for e, raw in enumerate(entries)
+                     if type(raw) is not list or len(raw) != 4)
+    cells = list(zip(*entries[:first])) or [()] * 4
+    # JSON numbers (a bool is not one), then numbers within float range
+    first = _cut(map(_NUMBERS.__contains__, map(type, itertools.chain(*cells))), first)
+    cells = [col[:first] for col in cells]
+    first = _cut(map(sys.float_info.max.__ge__, map(abs, itertools.chain(*cells))), first)
+    a = np.array([col[:first] for col in cells], dtype=float).reshape(4, first)
+    idx, v = a[:3], a[3]
+    # integral indices in 1..n with i < j, and no (i, j, k) twice
+    ok = np.all((idx == np.floor(idx)) & (idx >= 1) & (idx <= n), axis=0) & (idx[0] < idx[1])
+    i, j, k = np.where(ok, idx - 1, 0).astype(int)
+    key = (i * n + j) * n + k
+    order = np.argsort(key, kind="stable")  # a repeat sorts right after its first
+    ok[order[1:]] &= key[order[1:]] != key[order[:-1]]
+    bad = first if ok.all() else int(np.argmin(ok))
+    if bad < len(entries):
+        algebra._reject_entry(entries[bad], n)
+    c = np.zeros((n, n, n))
+    c[i, j, k] = v
+    c[j, i, k] = -v
+    return c
+
+
+def _cut(flags, first):
+    """The first entry with a False flag, or first; flags run column by column."""
+    ok = np.fromiter(flags, bool, 4 * first).reshape(4, first).all(axis=0)
+    return first if ok.all() else int(np.argmin(ok))

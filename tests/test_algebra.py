@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import (
     random_orthogonal,
     random_solvable,
 )
-from oracles import derivation_projector
+from oracles import bracket_tensor_reference, derivation_projector
 
 H3_TEXT = json.dumps({"name": "h3", "dim": 3, "brackets": [[1, 2, 3, 1.0]]})
 
@@ -79,9 +80,12 @@ DENSE8 = [[i, j, k, 0.5 * k] for i in range(1, 9) for j in range(i + 1, 9) for k
         ([8, 7, 3, 1.0], "bracket entry [8, 7, 3, 1.0] must have i < j"),
         ([7, 7, 3, 1.0], "bracket entry [7, 7, 3, 1.0] must have i < j"),
         ([2.0, 5, 3.0, -1], "duplicate bracket entry (2,5,3)"),
+        ([7, 8, 3, float("inf")], "value in bracket entry [7, 8, 3, inf] must be a finite number, got inf"),
+        ([7, 8, 3, float("nan")], "value in bracket entry [7, 8, 3, nan] must be a finite number, got nan"),
+        ([7, 8, 3, True], "value in bracket entry [7, 8, 3, True] must be a finite number, got True"),
     ],
     ids=["short", "text", "fraction", "bool", "null", "huge-value", "huge-index", "range",
-         "zero", "order", "diagonal", "duplicate"],
+         "zero", "order", "diagonal", "duplicate", "infinite-value", "nan-value", "true-value"],
 )
 def test_parse_names_the_last_entry_of_a_dense_list(bad, message):
     entries = DENSE8[:-1] + [bad]  # 224 entries, every (i < j, k) of dim 8 but the last
@@ -92,6 +96,67 @@ def test_parse_names_the_last_entry_of_a_dense_list(bad, message):
     entries[100] = [3, 2, 1, 1.0]
     with pytest.raises(AlgebraFormatError, match=r"^bracket entry \[3, 2, 1, 1.0\] must have i < j$"):
         algebra.parse_algebra(json.dumps({"dim": 8, "brackets": entries}))
+
+
+_FLOAT_MAX = sys.float_info.max
+# one bad cell each; the last is an integer past the float range that rounds down to it
+_BAD_CELLS = [True, False, "1", None, [1], {}, float("nan"), float("inf"), -float("inf"),
+              10**400, -10**400, 2.5, 0, -1, 99, int(_FLOAT_MAX) + 2**969 - 1]
+_BAD_ENTRIES = [[1, 2, 3], [1, 2, 3, 1.0, 1.0], [], "1 2 3 1", None, 5, {}]
+
+
+def _fuzzed_entries(rng, n):
+    """A dense or sparse bracket list of dim n with up to three faults of any
+    kind, as json.loads would give it."""
+    triples = [[i, j, k] for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               for k in range(1, n + 1)]
+    if rng.random() < 0.5 and triples:  # sparse
+        triples = [triples[t] for t in rng.choice(len(triples), rng.integers(len(triples)))]
+    entries = [[*t, float(rng.standard_normal()) if rng.random() < 0.8 else int(rng.integers(-3, 4))]
+               for t in triples]
+    for fault in rng.integers(6, size=rng.integers(4)):
+        if not entries:
+            break
+        e = int(rng.integers(len(entries)))
+        good = isinstance(entries[e], list) and len(entries[e]) == 4
+        if fault == 0:  # a bad entry
+            entries[e] = _BAD_ENTRIES[rng.integers(len(_BAD_ENTRIES))]
+        elif fault == 1 and good:  # a bad cell
+            entries[e][rng.integers(4)] = _BAD_CELLS[rng.integers(len(_BAD_CELLS))]
+        elif fault == 2 and good:  # i > j, or i = j
+            entries[e][:2] = entries[e][1::-1] if rng.random() < 0.5 else entries[e][:1] * 2
+        elif fault == 3 and good:  # a repeat later on, its cells floats or not
+            cells = [float(x) if rng.random() < 0.5 and type(x) is int and abs(x) < 2**53 else x
+                     for x in entries[e]]
+            entries.insert(int(rng.integers(e + 1, len(entries) + 1)), cells)
+        elif fault == 4 and good:  # the largest float as a value
+            entries[e][3] = _FLOAT_MAX * rng.choice([-1.0, 1.0])
+        elif fault == 5:  # an entry dropped
+            del entries[e]
+    return json.loads(json.dumps(entries))
+
+
+def _parsed(parse, entries, n):
+    try:
+        return parse(entries, n), None
+    except AlgebraFormatError as exc:
+        return None, str(exc)
+
+
+def test_parser_matches_its_column_by_column_reference():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        entries = _fuzzed_entries(rng, n)
+        c, message = _parsed(algebra._bracket_tensor, entries, n)
+        want, want_message = _parsed(bracket_tensor_reference, entries, n)
+        assert message == want_message, entries
+        if want is not None:
+            assert np.array_equal(c, want) and np.array_equal(np.signbit(c), np.signbit(want))
+        seen.add(message.split(" ")[0] if message else "ok")
+    # every kind of outcome came up: a tensor, and each kind of message
+    assert seen == {"ok", "malformed", "index", "value", "bracket", "duplicate"}
 
 
 def test_parse_accepts_integral_float_indices_and_integer_values():

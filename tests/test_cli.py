@@ -480,11 +480,16 @@ def test_metric_related_by_an_automorphism_gives_the_same_answer(tmp_path, a, b)
         ({"dim": 17}, "dim must be in 1..16, got 17"),
         ({"brackets": {}}, "'brackets' must be a list"),
         ({"metric": [[1, 0], [0, 1]]}, "metric must be 3x3"),
+        # a name is text, or absent or null
+        ({"name": 3}, "'name' must be text, got 3"),
+        ({"name": False}, "'name' must be text, got False"),
+        ({"name": ["h3"]}, "'name' must be text, got ['h3']"),
     ],
     ids=["lambda-text", "lambda-nan", "lambda-inf", "bracket-nan", "bracket-inf",
          "metric-nan", "dim-fraction", "dim-true", "index-true", "metric-true", "metric-text",
          "metric-huge", "hints-list", "hints-zero", "hints-false", "hints-empty-text",
-         "dim-zero", "dim-17", "brackets-object", "metric-2x2"],
+         "dim-zero", "dim-17", "brackets-object", "metric-2x2", "name-number", "name-false",
+         "name-list"],
 )
 def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     text = json.dumps({**H3, **change})  # NaN and Infinity as Python's json writes them
@@ -503,6 +508,19 @@ def test_malformed_value_names_its_key(tmp_path, capsys, change, named):
     rows = out.strip().splitlines()[1:]
     assert rows[0].startswith("bad ") and "error: " in rows[0] and named in rows[0]
     assert "0.569" in rows[1]
+
+
+def test_file_without_a_name_is_named_by_its_stem(tmp_path, capsys):
+    write_alg(tmp_path, "h3_absent", H3)
+    write_alg(tmp_path, "h3_null", {**H3, "name": None})
+    write_alg(tmp_path, "h3_named", {**H3, "name": "heisenberg"})
+    code, out, _ = run(capsys, "table", str(tmp_path))
+    assert code == EXIT_STABLE
+    assert [row.split()[0] for row in out.splitlines()[1:]] == ["h3_absent", "heisenberg", "h3_null"]
+    for stem in ("h3_absent", "h3_null"):
+        code, out, _ = run(capsys, "analyze", str(tmp_path / f"{stem}.alg"), "--format", "json")
+        assert (code, load_json(out)["name"]) == (EXIT_STABLE, stem)
+    assert algebra.parse_algebra(json.dumps(H3)).name == "unnamed"  # text has no file
 
 
 def test_small_scale_jacobi_failure_is_input_error(tmp_path, capsys):
@@ -607,6 +625,22 @@ def test_metric_that_takes_the_frame_out_of_range_is_a_range_error(tmp_path, cap
         code, out, err = run(capsys, "table", str(tmp_path))
     assert (code, err) == (EXIT_STABLE, "")
     assert re.fullmatch(rf"thin +{re.escape(message)}", out.splitlines()[1])
+
+
+def test_stack_records_match_each_file_alone(tmp_path):
+    # rows read out of a stack, and out of a masked sub-stack of one row, which
+    # keeps its stack axis: h3 is the one row with an extension of its stack,
+    # su2 the one without, and jordan3 is not a soliton
+    jordan = write_alg(tmp_path, "jordan3", JORDAN3)
+    for paths, options in (([cat("heisenberg3"), cat("su2"), cat("abelian3")], {"extend": True}),
+                           ([cat("heisenberg3"), jordan], {"extend": True, "gaussian_mode": "sharp"}),
+                           ([jordan, cat("abelian3")], {"gaussian_mode": "paper-bound"})):
+        records = cli._analyze(paths, [algebra.load_algebra(p) for p in paths], {}, **options)
+        for path, rec in zip(paths, records):
+            alone = analyze_file(path, **options)
+            assert cli.record_row(rec) == cli.record_row(alone)
+            assert (json.dumps({**cli.record_json(rec), "timings": None})
+                    == json.dumps({**cli.record_json(alone), "timings": None}))
 
 
 def _per_file_row(path):

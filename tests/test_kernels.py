@@ -10,14 +10,16 @@ to 1e-13 of the kernel's scale: a bound on its entries from the max-norms
 of its inputs.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, soliton, stability
 
-from conftest import conjugate_framed, framed, random_orthogonal, random_solvable, random_spd
+from conftest import (conjugate_framed, framed, heisenberg15, random_orthogonal, random_solvable,
+                      random_spd)
 from oracles import (
     derivation_defect_reference,
     jacobiator_reference,
@@ -297,3 +299,104 @@ def test_stacked_jacobi_finds_each_rows_triple(n):
         i, j, k, want = algebra.worst_jacobi_triple(b)
         assert (triple[0][r], triple[1][r], triple[2][r]) == (i, j, k)
         assert abs(res[r] - want) <= STACK_TOL * np.max(np.abs(b)) ** 2
+
+
+def filiform(n):
+    """The model filiform algebra, [e_1, e_i] = e_(i+1) for 1 < i < n: step n - 1."""
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return algebra.MetricLieAlgebra(f"filiform{n}", n, c, np.eye(n))
+
+
+def plus_abelian(F, n):
+    """F plus an abelian factor, of dim n: the step of F when F is not abelian."""
+    c = np.zeros((n, n, n))
+    c[:F.dim, :F.dim, :F.dim] = F.c
+    return algebra.MetricLieAlgebra(f"{F.name}+R{n - F.dim}", n, c, np.eye(n))
+
+
+def profile_stacks():
+    """Stacks for the lower central series, each row rotated and at its own
+    bracket scale: the catalog by dimension, h15, random solvable algebras of
+    dims 2..17 among nilpotent rows of each step and an abelian one, h3, h5 and
+    solv4 from 1e-6 to 1e6, and a dim-6 stack mixing a perfect, a solvable,
+    an abelian and nilpotent rows of steps 2 to 5."""
+    rng = np.random.default_rng(21)
+
+    def rotated(F, s=1.0):
+        return replace(conjugate_framed(F, random_orthogonal(rng, F.dim)), c=s * F.c)
+
+    by_dim = {}
+    for name in catalog.catalog_names():
+        by_dim.setdefault(framed(name).dim, []).append(rotated(framed(name)))
+    out = list(by_dim.values()) + [[heisenberg15(), rotated(heisenberg15(), 1e3)]]
+    for n in range(2, 18):
+        out.append([rotated(algebra.orthonormal_frame(random_solvable(rng, n)), 10.0 ** rng.integers(-3, 4)),
+                    rotated(filiform(n), 1e-2), plus_abelian(filiform(2), n)]
+                   + [rotated(plus_abelian(filiform(m), n)) for m in range(3, n, 3)])
+    scales = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+    out += [[rotated(framed(name), s) for s in scales] for name in ("heisenberg3", "heisenberg5", "solv4")]
+    mixed = [framed("su2"), framed("solv4"), filiform(2), framed("heisenberg3"),
+             framed("heisenberg5"), filiform(6), filiform(4)]
+    out.append([rotated(plus_abelian(F, 6), s) for F, s in zip(mixed, (1e4, 1.0, 1.0, 1e-4, 1.0, 1e2, 1.0))])
+    return out
+
+
+PROFILE_STACKS = profile_stacks()
+MIXED_STEPS = [0, 0, 1, 2, 2, 5, 3]  # su2, solv4, abelian, h3, h5, filiform6, filiform4
+
+
+@pytest.mark.parametrize("rows", PROFILE_STACKS,
+                         ids=[f"{rows[0].name}-{rows[0].dim}" for rows in PROFILE_STACKS])
+def test_stacked_profile_matches_each_row_alone(rows):
+    alone = []
+    for L in rows:
+        p = algebra.structure_profile(L)  # of one: Python scalars, which JSON takes
+        assert (type(p.step), type(p.nilpotent), type(p.unimodular)) == (int, bool, bool)
+        json.dumps(asdict(p))
+        alone.append((p.step, p.nilpotent, p.unimodular))
+    if len(rows) > 1:
+        p = algebra.structure_profile(algebra.stack(rows))
+        assert list(zip(p.step.tolist(), p.nilpotent.tolist(), p.unimodular.tolist())) == alone
+    if rows is PROFILE_STACKS[-1]:
+        assert [step for step, *_ in alone] == MIXED_STEPS
+    if rows[0].name.startswith("rand_solv"):  # then filiform, abelian and filiform + abelian
+        n = rows[0].dim
+        assert [step for step, *_ in alone] == [0, n - 1, 1, *range(2, n - 1, 3)]
+
+
+def assert_same_row(got, want):
+    """Two rows of a result equal field by field, each of one type: arrays
+    equal, nested dataclasses alike, and scalars equal (NaN to NaN)."""
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert type(other) is type(value), name
+        if isinstance(value, np.ndarray):
+            assert other.shape == value.shape and np.array_equal(other, value, equal_nan=True), name
+        elif is_dataclass(value):
+            assert_same_row(other, value)
+        else:
+            assert other == value or (value != value and other != other), name
+
+
+@pytest.mark.parametrize("rows", STACKS, ids=STACK_IDS)
+def test_column_wise_rows_match_take(rows):
+    F = algebra.stack(rows)
+    summary = curvature.curvature_summary(F)
+    cert = soliton.certify_soliton(F, summary, np.full(len(rows), np.nan))
+    verdicts = np.array([None, True, False] * len(rows), dtype=object)[:len(rows)]
+    results = [summary, cert, algebra.structure_profile(F),
+               stability.stability_report(F, summary, cert),
+               replace(stability.stability_report(F, summary, cert), q_verdict=verdicts,
+                       Ro_verdict=verdicts[::-1].copy())]
+    for result in results:
+        got = algebra.rows(result, len(rows))
+        assert len(got) == len(rows)
+        for r, row in enumerate(got):
+            assert_same_row(row, algebra.take(result, r))
+        # a mask with one True keeps the stack axis: a sub-stack of one row
+        for r in range(len(rows)):
+            (row,) = algebra.rows(algebra.take(result, np.arange(len(rows)) == r), 1)
+            assert_same_row(row, algebra.take(result, r))
