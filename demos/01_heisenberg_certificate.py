@@ -19,8 +19,9 @@ from solstab import algebra, curvature, soliton
 doc = {"name": "heisenberg3", "dim": 3, "brackets": [[1, 2, 3, 1.0]]}
 L = algebra.parse_algebra(json.dumps(doc))
 
-diag = algebra.validate_algebra(L)
-print(f"Jacobi residual: {diag.jacobi_residual:g}  (ok={diag.ok})")
+algebra.validate_algebra(L)  # raises AlgebraFormatError when Jacobi fails
+*_, residual = algebra.worst_jacobi_triple(L.bracket_tensor)
+print(f"Jacobi residual: {residual:g}")
 
 profile = algebra.structure_profile(L)
 print(f"nilpotency step: {profile.step}, unimodular: {profile.unimodular}")

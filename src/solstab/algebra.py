@@ -3,15 +3,16 @@
 An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
 product G on the basis (identity by default), and held as its dense
-structure tensor.  `load_algebra` is the one file reader.  This module
-validates the Jacobi identity, moves the tensor into an orthonormal frame,
-computes the derivation defect delta and reports structural invariants
-(step, unimodularity).  The derivation algebra Der(g) is the null space of
-delta, taken over the unit matrices.  The Jacobiator and delta are matrix
-products on reshaped views; they and the structure profile take a stack of
-algebras of one dimension (`stack`) as well as one.  `take` reads rows, or a
-masked sub-stack, back out of a stacked result, and `rows` reads every row
-of it at once, field by field.
+structure tensor.  `load_algebra` is the one file reader; each rule of the
+parse has one function: `_entry` of a bracket entry, `_check_metric` (the one
+factorization of G) of the metric, `validate_algebra` of the Jacobi identity.
+The module moves the tensor into an orthonormal frame, computes the
+derivation defect delta and reports structural invariants (step,
+unimodularity).  Der(g) is the null space of delta over the unit matrices.
+The Jacobiator and delta are matrix products on reshaped views; they and the
+structure profile take a stack of algebras of one dimension (`stack`) as
+well as one.  `take` reads rows, or a masked sub-stack, back out of a
+stacked result, and `rows` reads every row of it at once, field by field.
 It also holds every tolerance of the package, in one block of relative ones,
 and the one range error (`require_in_range`) of every stage.
 """
@@ -86,13 +87,14 @@ class MetricLieAlgebra:
 
     @property
     def bracket_tensor(self) -> np.ndarray:
-        """Coefficients beta[i,j,m] with [e_i, e_j] = sum_m beta[i,j,m] e_m, the
-        last index of the structure tensor raised with G^{-1}; where that leaves
-        the float range it is not finite, which `validate_algebra` rejects."""
+        """Coefficients beta[i,j,m] with [e_i, e_j] = sum_m beta[i,j,m] e_m, the last
+        index of the structure tensor raised with G^{-1} = M M^T (`_check_metric`);
+        where that leaves the float range it is not finite, a range error."""
         if _is_identity(self.metric):
             return self.c
+        M = _check_metric(self.metric)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.c @ np.linalg.inv(self.metric)[..., None, :, :]
+            return self.c @ (M @ M.swapaxes(-1, -2))[..., None, :, :]
 
 
 def stack(algebras) -> MetricLieAlgebra:
@@ -134,14 +136,6 @@ class StructureProfile:
     step: int  # lower-central-series length; 0 when not nilpotent
     nilpotent: bool
     unimodular: bool  # tr(ad X) = 0 for every X
-
-
-@dataclass(frozen=True)
-class AlgebraDiagnostics:
-    jacobi_residual: float  # inf or 0 where max|beta|^2 leaves the float range
-    ok: bool
-    triple: tuple[int, int, int]  # 1-based, where the residual is attained
-    relative_residual: float  # jacobi_residual / max|beta|^2, finite at every scale
 
 
 def parse_algebra(text: str, default_name: str = "unnamed") -> MetricLieAlgebra:
@@ -206,61 +200,57 @@ def algebra_hints(text: str) -> dict:
 
 
 def _bracket_tensor(entries: list, n: int) -> np.ndarray:
-    """The dense structure tensor of a list of bracket entries.
-
-    Each check runs on the whole list and cuts it at the first entry it
-    rejects, so the first bad entry in list order is found, and only it is
-    formatted into a message (`_reject_entry`).
-    """
-    a = _numbers(entries)
-    first, idx, v = a.shape[1], a[:3], a[3]
-    # integral indices in 1..n with i < j, and no (i, j, k) twice
-    ok = np.all((idx == np.floor(idx)) & (idx >= 1) & (idx <= n), axis=0) & (idx[0] < idx[1])
-    i, j, k = np.where(ok, idx - 1, 0).astype(int)
-    key = (i * n + j) * n + k
-    order = np.argsort(key, kind="stable")  # a repeat sorts right after its first
-    ok[order[1:]] &= key[order[1:]] != key[order[:-1]]
-    bad = first if ok.all() else int(np.argmin(ok))
-    if bad < len(entries):
-        _reject_entry(entries[bad], n)
+    """The dense structure tensor of a list of bracket entries: the array of
+    `_accepted`, or else the list read entry by entry (`_entry`), which raises
+    for its first bad entry, or reads it through where the acceptor was stricter."""
+    if (a := _accepted(entries, n)) is None:
+        seen = set()
+        a = np.array([_entry(raw, n, seen) for raw in entries], dtype=float).reshape(-1, 4)
+    i, j, k = a[:, :3].T.astype(int) - 1
     c = np.zeros((n, n, n))
-    c[i, j, k] = v
-    c[j, i, k] = -v
+    c[i, j, k] = a[:, 3]
+    c[j, i, k] = -a[:, 3]
     return c
 
 
-def _numbers(entries: list) -> np.ndarray:
-    """The entries as a (4, count) float array, cut before the first that is
-    not a list of 4 JSON numbers (a bool is not one) in float range.  One scan
-    of the types and one conversion decide a whole list; only a list they
-    reject is scanned entry by entry for its first bad one."""
-    if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}
+def _accepted(entries: list, n: int) -> np.ndarray | None:
+    """The entries as a (count, 4) float array when each rule holds for the
+    whole list, else None: one scan of the types, one conversion, then each
+    rule one boolean.  It rejects a value of exactly the largest float, which
+    `_entry` reads through, and accepts nothing that `_entry` rejects."""
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}
             and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBERS):
-        try:  # < max also rejects an integer past it that rounds down to max
-            a = np.fromiter(itertools.chain.from_iterable(entries), float, 4 * len(entries))
-            if (np.abs(a) < sys.float_info.max).all():
-                return a.reshape(-1, 4).T
-        except OverflowError:  # an integer past the float range
-            pass
-    first = next((e for e, raw in enumerate(entries) if type(raw) is not list or len(raw) != 4
-                  or not all(type(x) in _NUMBERS and abs(x) <= sys.float_info.max for x in raw)),
-                 len(entries))
-    return np.array(entries[:first], dtype=float).reshape(-1, 4).T
+        return None
+    try:
+        a = np.fromiter(itertools.chain.from_iterable(entries), float, 4 * len(entries))
+    except OverflowError:  # an integer past the float range
+        return None
+    a = a.reshape(-1, 4)
+    idx = a[:, :3]  # < max also rejects an integer past it that rounds down to max
+    valid = ((np.abs(a) < sys.float_info.max).all() and (idx >= 1).all() and (idx <= n).all()
+             and (idx == np.floor(idx)).all() and (idx[:, 0] < idx[:, 1]).all()
+             and len({(i, j, k) for i, j, k, _ in entries}) == len(a))  # 2.0 == 2 in a set
+    return a if valid else None
 
 
-def _reject_entry(raw, n: int):
-    """Raise the error for one rejected bracket entry, checks in order."""
+def _entry(raw, n: int, seen: set) -> list:
+    """One bracket entry as [i, j, k, value], each rule checked in order: a list
+    of 4, integer indices, a finite value, indices in 1..n, i < j, and (i, j, k)
+    not in ``seen``, the entries before it, to which it is added."""
     what = f"bracket entry {raw!r}"
     if not isinstance(raw, list) or len(raw) != 4:
         raise AlgebraFormatError(f"malformed {what}")
     i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
-    _finite(raw[3], f"value in {what}")
+    value = _finite(raw[3], f"value in {what}")
     for idx in (i, j, k):
         if idx < 1 or idx > n:
             raise AlgebraFormatError(f"index out of range in {what}: {idx} not in 1..{n}")
     if i >= j:
         raise AlgebraFormatError(f"{what} must have i < j")
-    raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
+    if (i, j, k) in seen:
+        raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
+    seen.add((i, j, k))
+    return [i, j, k, value]
 
 
 def _integer(value, what: str) -> int:
@@ -281,9 +271,10 @@ def _finite(value, what: str) -> float:
 
 
 def worst_jacobi_triple(beta: np.ndarray):
-    """The (i, j, k) triple (1-based) with the largest Jacobi violation, and
-    that violation: the max-norm of [[x,y],z] + [[y,z],x] + [[z,x],y] over
-    basis triples; of a stack of bracket tensors, an array of each per row."""
+    """The (i, j, k) triple (1-based, sorted: the Jacobiator of an antisymmetric
+    beta is totally antisymmetric, so its six orders tie up to rounding) with the
+    largest Jacobi violation, and that violation: the max-norm of [[x,y],z] +
+    [[y,z],x] + [[z,x],y] over basis triples; of a stack, an array of each per row."""
     n, batch = beta.shape[-1], beta.shape[:-3]
     # X[i,j,k,m] = [[e_i,e_j],e_k]_m; the other two terms are X[j,k,i,m] and X[k,i,j,m]
     X = (beta @ beta.reshape(*batch, 1, n, n * n)).reshape(*batch, n, n, n, n)
@@ -291,35 +282,25 @@ def worst_jacobi_triple(beta: np.ndarray):
     jac = X + X.transpose(*range(b), b + 2, b, b + 1, b + 3)
     jac += X.transpose(*range(b), b + 1, b + 2, b, b + 3)
     jac = np.abs(jac, out=jac).reshape(*batch, n ** 4)
-    # the first maximal entry in C order lies in the first maximal triple
     at = jac.argmax(axis=-1)
-    i, j, k, _ = np.unravel_index(at, (n, n, n, n))
-    return i + 1, j + 1, k + 1, np.take_along_axis(jac, at[..., None], -1)[..., 0]
+    triple = np.sort(np.unravel_index(at, (n, n, n, n))[:3], axis=0) + 1
+    return *triple, np.take_along_axis(jac, at[..., None], -1)[..., 0]
 
 
-def validate_algebra(L) -> AlgebraDiagnostics:
-    """Jacobi-identity diagnostics, accepted up to ROUND_TOL max|beta|^2 (a beta not
-    finite is a range error), taken of beta / 2^e with max|beta| = m 2^e, 1/2 <= m
-    < 1: exact, so it cannot overflow; times 4^e the residual has beta's own bits."""
+def validate_algebra(L) -> None:
+    """The Jacobi identity, accepted up to ROUND_TOL max|beta|^2; of a stack, an
+    AlgebraFormatError names the first failing row's worst triple as that row
+    alone would, and a beta not finite is a range error.  The check runs on
+    beta / 2^e with max|beta| = m 2^e, 1/2 <= m < 1: exact, so it cannot overflow."""
     beta = L.bracket_tensor
     m, e = np.frexp(np.max(np.abs(beta), axis=(-3, -2, -1)))
     require_in_range(("bracket tensor", m))  # m is finite exactly when beta is
     *triple, res = worst_jacobi_triple(np.ldexp(beta, -e[..., None, None, None]))
-    with np.errstate(over="ignore"):
-        absolute = np.ldexp(res, 2 * e)
-    relative = res / np.where(m, m * m, 1.0)  # res is 0 where beta is
-    return AlgebraDiagnostics(absolute, within(res, ROUND_TOL, m * m), tuple(triple), relative)
-
-
-def require_jacobi(L) -> None:
-    """Raise AlgebraFormatError naming the worst triple when Jacobi fails (of each row)."""
-    diag = validate_algebra(L)
-    if not np.all(diag.ok):
-        i, j, k = diag.triple
-        raise AlgebraFormatError(
-            f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
-            f"relative residual {np.max(diag.relative_residual):.3e}"
-        )
+    ok = np.ravel(within(res, ROUND_TOL, m * m))
+    if not ok.all():
+        i, j, k, res, m = (np.ravel(x)[np.argmin(ok)] for x in (*triple, res, m))
+        raise AlgebraFormatError(f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
+                                 f"relative residual {res / (m * m):.3e}")
 
 
 def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
@@ -330,11 +311,9 @@ def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
     identity metric and keeps the hints.  An algebra whose metric is
     already the identity is returned itself.
     """
-    G = L.metric
-    if _is_identity(G):
+    if _is_identity(L.metric):
         return L
-    _check_metric(G)
-    M = np.linalg.inv(np.linalg.cholesky(G)).T
+    M = _check_metric(L.metric)
     # <[new_a, new_b], new_c> = sum c[i,j,k] M[i,a] M[j,b] M[k,c]; contract
     # k, then i, then j, as matrix products on (n, n^2) reshapes
     n = L.dim
@@ -426,8 +405,16 @@ def _is_identity(G: np.ndarray) -> bool:  # every metric of a stack
     return bool((G == np.eye(G.shape[-1])).all())
 
 
-def _check_metric(G: np.ndarray) -> None:
-    if not within(np.max(np.abs(G - G.T)), METRIC_TOL, np.max(np.abs(G))):
+def _check_metric(G: np.ndarray) -> np.ndarray:
+    """M = L^{-T} of the Cholesky factor G = L L^T, so G^{-1} = M M^T: the one
+    factorization of a metric, or of a stack of them.  G is positive definite
+    when it and its inverse succeed and the least eigenvalue is > 0."""
+    if not within(np.max(np.abs(G - G.swapaxes(-1, -2))), METRIC_TOL, np.max(np.abs(G))):
         raise MetricError("metric is not symmetric")
-    if np.linalg.eigvalsh(G).min() <= 0:
-        raise MetricError("metric is not positive definite")
+    try:
+        M = np.linalg.inv(np.linalg.cholesky(G)).swapaxes(-1, -2)
+        if np.linalg.eigvalsh(G).min() > 0:
+            return M
+    except np.linalg.LinAlgError:
+        pass
+    raise MetricError("metric is not positive definite")

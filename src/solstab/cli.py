@@ -89,7 +89,7 @@ def _certify(where: str, algebras, timings: dict[str, float]):
     """The stages every command starts with, on a stack of algebras of one
     dimension from the files ``where``: frames, stack, summary, certificate."""
     with _stage(timings, "parse", where):
-        algebra.require_jacobi(algebra.stack(algebras))
+        algebra.validate_algebra(algebra.stack(algebras))
     with _stage(timings, "curvature", where):
         frames = [algebra.orthonormal_frame(L) for L in algebras]
         summary = curvature.curvature_summary(F := algebra.stack(frames))
@@ -225,7 +225,6 @@ def record_json(rec: AnalysisRecord) -> dict:
         del out["stability"]["lam"], out["stability"]["trace_D"]
     if rec.gaussian_plan is not None:
         out["gaussian"] = asdict(rec.gaussian_plan)
-        del out["gaussian"]["lam"]
     out["timings"] = rec.timings
     return out
 

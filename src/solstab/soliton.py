@@ -47,7 +47,6 @@ class EinsteinCertificate:
 class GaussianExtensionPlan:
     C1: float
     C2: float
-    lam: float
     k: int
     mode: str  # "paper-bound" or "sharp"
     bracket_value_at_k: float
@@ -240,7 +239,7 @@ def gaussian_extension_dimension(
             k += 1
         while k > 0 and C1 + C2 + 0.5 * lam * (k - 1) < -1.0:
             k -= 1
-    return GaussianExtensionPlan(C1, C2, lam, k, mode, bracket_value_at_k=C1 + C2 + 0.5 * lam * k)
+    return GaussianExtensionPlan(C1, C2, k, mode, bracket_value_at_k=C1 + C2 + 0.5 * lam * k)
 
 
 def verify_gaussian_product(summary: CurvatureSummary, cert: SolitonCertificate, k: int) -> float:

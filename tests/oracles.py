@@ -10,13 +10,17 @@ kernels of the verdict path (Riemann, Jacobiator, derivation defect, the
 Sym^2 form) have references here in their index form, as einsum and kron.
 The flow's Ricci kernel, prepared once per bracket tensor, has as its
 reference the same closed form evaluated whole on every call.  The bracket
-list parser has as its reference the column-by-column version it replaced.
+list parser has as its reference the column-by-column version it replaced,
+with its own copy of the message writer that version called.
 """
 
 import itertools
 import sys
 
 import numpy as np
+
+from solstab.algebra import _finite, _integer
+from solstab.errors import AlgebraFormatError
 
 
 def tridiagonalize(A):
@@ -247,11 +251,8 @@ _NUMBERS = frozenset((int, float))
 def bracket_tensor_reference(entries, n):
     """The dense structure tensor of a list of bracket entries, checked column
     by column: each check cuts the list at the first entry it rejects, and the
-    first bad entry in list order is raised by `algebra._reject_entry`, which
-    writes the message.  So a comparison tests which entry is named, and the
-    tensor."""
-    from solstab import algebra
-
+    first bad entry in list order is raised by `_reject_entry`, which writes
+    the message.  So a comparison tests which entry is named, and the tensor."""
     first = len(entries)
     if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
         first = next(e for e, raw in enumerate(entries)
@@ -271,11 +272,26 @@ def bracket_tensor_reference(entries, n):
     ok[order[1:]] &= key[order[1:]] != key[order[:-1]]
     bad = first if ok.all() else int(np.argmin(ok))
     if bad < len(entries):
-        algebra._reject_entry(entries[bad], n)
+        _reject_entry(entries[bad], n)
     c = np.zeros((n, n, n))
     c[i, j, k] = v
     c[j, i, k] = -v
     return c
+
+
+def _reject_entry(raw, n: int):
+    """Raise the error for one rejected bracket entry, checks in order."""
+    what = f"bracket entry {raw!r}"
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise AlgebraFormatError(f"malformed {what}")
+    i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
+    _finite(raw[3], f"value in {what}")
+    for idx in (i, j, k):
+        if idx < 1 or idx > n:
+            raise AlgebraFormatError(f"index out of range in {what}: {idx} not in 1..{n}")
+    if i >= j:
+        raise AlgebraFormatError(f"{what} must have i < j")
+    raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
 
 
 def _cut(flags, first):

@@ -159,6 +159,24 @@ def test_parser_matches_its_column_by_column_reference():
     assert seen == {"ok", "malformed", "index", "value", "bracket", "duplicate"}
 
 
+def test_entry_reader_gives_the_accepted_tensor(monkeypatch):
+    # every valid list the acceptor takes whole, read entry by entry instead
+    # once the acceptor rejects every list: the same tensor, signed zeros too
+    rng = np.random.default_rng(22)
+    valid = []
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        entries = _fuzzed_entries(rng, n)
+        c, message = _parsed(algebra._bracket_tensor, entries, n)
+        if message is None:
+            valid.append((entries, n, c))
+    monkeypatch.setattr(algebra, "_accepted", lambda entries, n: None)
+    for entries, n, want in valid:
+        c = algebra._bracket_tensor(entries, n)
+        assert np.array_equal(c, want) and np.array_equal(np.signbit(c), np.signbit(want))
+    assert len(valid) > 500
+
+
 def test_parse_accepts_integral_float_indices_and_integer_values():
     ints = algebra.parse_algebra(json.dumps({"dim": 8, "brackets": DENSE8}))
     floats = [[float(i), float(j), float(k), v] for i, j, k, v in DENSE8]
@@ -186,9 +204,9 @@ def test_parse_rejects_bad_metric():
 
 def test_validate_h3_and_su2():
     for name in ("heisenberg3", "su2"):
-        diag = algebra.validate_algebra(catalog.load(name))
-        assert diag.ok
-        assert diag.jacobi_residual == 0.0
+        L = catalog.load(name)
+        algebra.validate_algebra(L)
+        assert algebra.worst_jacobi_triple(L.bracket_tensor)[3] == 0.0
 
 
 def test_validate_broken_jacobi():
@@ -196,10 +214,10 @@ def test_validate_broken_jacobi():
     doc = json.dumps(
         {"dim": 3, "brackets": [[1, 2, 3, 1.0], [1, 3, 1, 1.0], [2, 3, 1, 1.0]]}
     )
-    diag = algebra.validate_algebra(algebra.parse_algebra(doc))
-    assert not diag.ok
-    assert diag.jacobi_residual > 0.1
-    assert diag.triple == (1, 2, 3)
+    L = algebra.parse_algebra(doc)
+    with pytest.raises(AlgebraFormatError, match=r"^Jacobi identity violated at triple \(e1, e2, e3\): "):
+        algebra.validate_algebra(L)
+    assert algebra.worst_jacobi_triple(L.bracket_tensor)[3] > 0.1
 
 
 NOT_LIE = [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [2, 4, 1, 1.0]]  # fails Jacobi at (e1, e2, e3)
@@ -208,16 +226,17 @@ NOT_LIE = [[1, 2, 3, 1.0], [1, 3, 4, 1.0], [2, 4, 1, 1.0]]  # fails Jacobi at (e
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e4, 1e6])
 def test_jacobi_check_is_scale_free(rng, s):
     doc = {"dim": 4, "brackets": [[i, j, k, s * v] for i, j, k, v in NOT_LIE]}
-    assert not algebra.validate_algebra(algebra.parse_algebra(json.dumps(doc))).ok
+    with pytest.raises(AlgebraFormatError, match="Jacobi identity violated"):
+        algebra.validate_algebra(algebra.parse_algebra(json.dumps(doc)))
     # a rotated solv4 carries round-off of order eps * s^2 in its residual
     F = conjugate_framed(framed("solv4"), random_orthogonal(rng, 4))
     scaled = replace(F, c=s * F.c)
-    assert algebra.validate_algebra(scaled).ok
+    algebra.validate_algebra(scaled)
 
 
 def test_validate_catalog():
     for name in catalog.catalog_names():
-        assert algebra.validate_algebra(catalog.load(name)).ok, name
+        algebra.validate_algebra(catalog.load(name))
 
 
 def test_orthonormal_frame_identity_metric_bitwise():

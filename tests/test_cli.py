@@ -25,7 +25,7 @@ from solstab.cli import (
     main,
 )
 
-from conftest import conjugate_framed, framed, random_orthogonal
+from conftest import conjugate_framed, framed, random_orthogonal, random_solvable
 
 
 def cat(name):
@@ -436,10 +436,11 @@ def test_gaussian_k_at_small_scale(tmp_path, capsys, rng, s):
     code, out, err = run(capsys, "gaussian", path, "--ignore-stability")
     assert time.perf_counter() - t0 < 1.0
     assert (code, err) == (EXIT_STABLE, "")
-    p = analyze_file(path, gaussian_mode="paper-bound", ignore_stability=True).gaussian_plan
+    rec = analyze_file(path, gaussian_mode="paper-bound", ignore_stability=True)
+    p, lam = rec.gaussian_plan, rec.certificate.lam
     assert f"k = {p.k}\n" in out and p.k > 1 / s**2
-    assert p.C1 + p.C2 + 0.5 * p.lam * p.k < -1.0
-    assert p.C1 + p.C2 + 0.5 * p.lam * (p.k - 1) >= -1.0
+    assert p.C1 + p.C2 + 0.5 * lam * p.k < -1.0
+    assert p.C1 + p.C2 + 0.5 * lam * (p.k - 1) >= -1.0
 
 
 @pytest.mark.parametrize("a, b", [(1e-4, 1e-2), (1e3, 1e2)])
@@ -787,3 +788,80 @@ def test_flow_builds_its_ricci_form_once(monkeypatch, capsys):
     assert code == EXIT_STABLE
     assert (summary_forms["calls"], flow_forms["calls"]) == (1, 1)
     assert ricci["calls"] == 4 * 50 + 1
+
+
+RANK1 = {"dim": 2, "brackets": [[1, 2, 2, 1]], "metric": [[1, 3], [3, 9]]}  # G of rank 1
+
+
+def test_singular_metric_is_an_input_error(tmp_path, capsys):
+    # eigvalsh puts the least eigenvalue of G at 1.1e-16 > 0, but G has no
+    # inverse and no Cholesky factor: a parse-stage error, not a traceback
+    for name in ("heisenberg3", "su2"):
+        shutil.copy(catalog.catalog_path(name), tmp_path)
+    code, before, _ = run(capsys, "table", str(tmp_path))
+    path = write_alg(tmp_path, "rank1", RANK1)
+    message = f"error: {path}: parse stage: metric is not positive definite"
+    for argv in (["analyze", path, "--extend"], ["flow", path], ["gaussian", path]):
+        assert run(capsys, *argv) == (EXIT_INPUT_ERROR, "", message + "\n")
+    code, out, err = run(capsys, "table", str(tmp_path))
+    assert (code, err) == (EXIT_STABLE, "")
+    lines = out.splitlines()
+    assert re.fullmatch(rf"rank1 +{re.escape(message)}", lines[2])
+    assert [line.split() for line in lines[:2] + lines[3:]] == [
+        line.split() for line in before.splitlines()]
+
+
+STAGE_ERROR = r"error: {path}: (parse|curvature|soliton|profile|stability|gaussian|flow) stage: .+\n"
+
+
+def _hostile_documents(rng):
+    """About 100 documents near the edges of the input domain: rotated catalog
+    algebras and random solvable ones at bracket scales 1e-3..1e3, under SPD
+    metrics of condition 1..1e16 or rank-deficient ones, with and without a
+    lambda hint, and antisymmetric tensors that are no Lie algebra."""
+    names = catalog.catalog_names()
+    for d in range(100):
+        kind = d % 4
+        if kind == 3:  # not a Lie algebra, almost surely
+            n = int(rng.integers(3, 6))
+            beta = rng.standard_normal((n, n, n))
+            beta -= beta.swapaxes(0, 1)
+        elif kind == 2:
+            n = int(rng.integers(2, 7))
+            beta = random_solvable(rng, n).c
+        else:
+            F = framed(names[d % len(names)])
+            n, beta = F.dim, conjugate_framed(F, random_orthogonal(rng, F.dim)).c
+        beta = beta * 10.0 ** rng.uniform(-3, 3)
+        if d % 5 == 4:  # rank-deficient, exactly: X X^T of an integer n x (n - 1) matrix X
+            X = rng.integers(-3, 4, (n, n - 1)).astype(float)
+            G = X @ X.T
+        else:
+            Q = random_orthogonal(rng, n)
+            G = (Q * np.logspace(0, -rng.uniform(0, 16), n)) @ Q.T
+            G = 0.5 * (G + G.T)
+        c = beta @ G if d % 3 else beta  # <[e_i, e_j], e_k> in the metric G, or G = I
+        doc = {"dim": n, "brackets": [[i + 1, j + 1, k + 1, c[i, j, k]] for i in range(n)
+                                      for j in range(i + 1, n) for k in range(n) if c[i, j, k]]}
+        if d % 3:
+            doc["metric"] = G.tolist()
+        if d % 7 == 0:
+            doc["hints"] = {"lambda": float(rng.uniform(-2, 1))}
+        yield f"doc{d:03d}", doc
+
+
+def test_no_exception_leaves_main(tmp_path, capsys):
+    docs = dict(_hostile_documents(np.random.default_rng(22)))
+    for name, doc in docs.items():
+        path = write_alg(tmp_path, name, doc)
+        for argv in (["analyze", path, "--extend", "--gaussian", "--format", "json"],
+                     ["flow", path, "--t-max", "0.01", "--trials", "1"], ["gaussian", path]):
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, err)
+            if code == EXIT_INPUT_ERROR:
+                assert re.fullmatch(STAGE_ERROR.format(path=re.escape(path)), err), (argv, err)
+            if argv[-1] == "json" and out:
+                load_json(out)
+    code, out, err = run(capsys, "table", str(tmp_path))
+    assert (code, err) == (EXIT_STABLE, "")
+    assert [line.split()[0] for line in out.splitlines()[1:]] == sorted(docs)

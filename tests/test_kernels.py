@@ -12,11 +12,13 @@ of its inputs.
 
 import json
 from dataclasses import asdict, is_dataclass, replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, soliton, stability
+from solstab.errors import AlgebraFormatError
 
 from conftest import (conjugate_framed, framed, heisenberg15, random_orthogonal, random_solvable,
                       random_spd)
@@ -107,10 +109,23 @@ def assert_worst_triple(beta):
     unit = beta.shape[0] * scale(beta) ** 2
     i, j, k, res = algebra.worst_jacobi_triple(beta)
     assert abs(res - ref.max()) <= TOL * unit
-    assert ref[i - 1, j - 1, k - 1] >= ref.max() - TOL * unit
-    n = beta.shape[0]
-    diag = algebra.validate_algebra(algebra.MetricLieAlgebra("x", n, beta, np.eye(n)))
-    assert (diag.jacobi_residual, diag.triple) == (res, (i, j, k))
+    # the triple is named sorted; the Jacobiator of an antisymmetric beta, as
+    # every bracket tensor is, is totally antisymmetric, so the sorted order
+    # itself attains the max; of any other beta, one order of the triple does
+    assert i <= j <= k
+    orders = [(i, j, k)] if np.array_equal(beta, -beta.swapaxes(0, 1)) else permutations((i, j, k))
+    assert max(ref[a - 1, b - 1, c - 1] for a, b, c in orders) >= ref.max() - TOL * unit
+    # the check itself runs on beta / 2^e: exact, so it accepts, or names this
+    # triple and residual, as the unscaled kernel would
+    n, squared = beta.shape[0], scale(beta) ** 2
+    L = algebra.MetricLieAlgebra("x", n, beta, np.eye(n))
+    if algebra.within(res, algebra.ROUND_TOL, squared):
+        algebra.validate_algebra(L)
+    else:
+        with pytest.raises(AlgebraFormatError) as exc:
+            algebra.validate_algebra(L)
+        assert str(exc.value) == (f"Jacobi identity violated at triple (e{i}, e{j}, e{k}): "
+                                  f"relative residual {res / squared:.3e}")
 
 
 @pytest.mark.parametrize("F", FRAMES, ids=IDS)
@@ -223,9 +238,10 @@ def test_stacked_kernels_match_each_row_alone(rows):
     units = [np.max(np.abs(L.c)) ** 2 for L in rows]
     assert F.c.shape == (len(rows), *rows[0].c.shape)
 
-    diag, alone = algebra.validate_algebra(F), [algebra.validate_algebra(L) for L in rows]
-    assert list(diag.ok) == [d.ok for d in alone]
-    assert_rows(diag.jacobi_residual, [d.jacobi_residual for d in alone], units)
+    for L in (F, *rows):  # every row is a Lie algebra: the stack passes, as each row does
+        algebra.validate_algebra(L)
+    assert_rows(algebra.worst_jacobi_triple(F.c)[3],
+                [algebra.worst_jacobi_triple(L.c)[3] for L in rows], units)
     X = np.random.default_rng(F.dim).standard_normal((len(rows), F.dim, F.dim))
     assert_rows(algebra.derivation_defect(F.c, X),
                 [algebra.derivation_defect(L.c, x) for L, x in zip(rows, X)], units, 0.5)
@@ -299,6 +315,29 @@ def test_stacked_jacobi_finds_each_rows_triple(n):
         i, j, k, want = algebra.worst_jacobi_triple(b)
         assert (triple[0][r], triple[1][r], triple[2][r]) == (i, j, k)
         assert abs(res[r] - want) <= STACK_TOL * np.max(np.abs(b)) ** 2
+
+
+def test_jacobi_names_each_triple_sorted():
+    # the six orders of a triple tie up to rounding, and the one named is
+    # sorted: of a stack as of each row alone, and in the check's message
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        beta = rng.standard_normal((3, n, n, n))
+        beta -= beta.swapaxes(-3, -2)
+        *triple, res = algebra.worst_jacobi_triple(beta)
+        assert (np.diff(triple, axis=0) > 0).all()
+        for r, b in enumerate(beta):
+            assert [t[r] for t in triple] == list(algebra.worst_jacobi_triple(b)[:3])
+    # a stack whose first failing row is row 1 fails as row 1 alone does
+    rows = [algebra.MetricLieAlgebra(f"x{r}", n, b, np.eye(n)) for r, b in enumerate(beta)]
+    rows[0] = replace(rows[0], c=np.zeros_like(beta[0]))
+    messages = []
+    for L in (algebra.stack(rows), rows[1]):
+        with pytest.raises(AlgebraFormatError, match="Jacobi identity violated") as exc:
+            algebra.validate_algebra(L)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def filiform(n):
