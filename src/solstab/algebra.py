@@ -4,15 +4,15 @@ An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
 product G on the basis (identity by default), and held as its dense
 structure tensor.  `load_algebra` is the one file reader; each rule of the
-parse has one function: `_entry` of a bracket entry, `_check_metric` (the one
-factorization of G) of the metric, `validate_algebra` of the Jacobi identity.
-The module moves the tensor into an orthonormal frame, computes the
-derivation defect delta and reports structural invariants (step,
-unimodularity).  Der(g) is the null space of delta over the unit matrices.
-The Jacobiator and delta are matrix products on reshaped views; they and the
-structure profile take a stack of algebras of one dimension (`stack`) as
-well as one.  `take` reads rows, or a masked sub-stack, back out of a
-stacked result, and `rows` reads every row of it at once, field by field.
+parse has one function: `_entry`, the one reader of every bracket entry,
+`_check_metric` (the one factorization of G) of the metric, `validate_algebra`
+of the Jacobi identity.  The module moves the tensor into an orthonormal
+frame, computes the derivation defect delta and reports structural invariants
+(step, unimodularity).  Der(g) is the null space of delta over the unit
+matrices.  The Jacobiator and delta are matrix products on reshaped views;
+they and the structure profile take a stack of algebras of one dimension
+(`stack`) as well as one.  `take` reads rows, or a masked sub-stack, back out
+of a stacked result, and `rows` reads every row of it at once, field by field.
 It also holds every tolerance of the package, in one block of relative ones,
 and the one range error (`require_in_range`) of every stage.
 """
@@ -58,16 +58,18 @@ def within(residual, tol: float, unit):
         return residual / unit <= tol if unit else residual <= 0
 
 
-def require_in_range(*quantities, scale: float = 0.0) -> None:
+def require_in_range(*quantities, scale: float = 0.0, lam: float = 0.0) -> None:
     """Raise AlgebraFormatError for the first (name, value) pair, in the order
-    given, whose value is not finite, and when max|c| = ``scale`` (of a stack,
-    one per row) is nonzero but its square is below the normal floats, where a
-    verdict would read zeros."""
+    given, whose value is not finite, and when the unit is nonzero but below the
+    normal floats, where a verdict would read zeros or divide by them: max|c|^2
+    of max|c| = ``scale`` (of a stack, one per row), or |``lam``| where c = 0."""
     for quantity, value in quantities:
         if not np.isfinite(value).all():
             raise AlgebraFormatError(f"{quantity} is not finite ({_OUT_OF_RANGE})")
     if ((scale != 0) & (scale * scale < _TINY)).any():
         raise AlgebraFormatError(f"max|c|^2 underflows ({_OUT_OF_RANGE})")
+    if ((scale == 0) & (lam != 0) & (abs(lam) < _TINY)).any():
+        raise AlgebraFormatError(f"|lambda| underflows ({_OUT_OF_RANGE})")
 
 
 @dataclass(frozen=True)
@@ -200,12 +202,9 @@ def algebra_hints(text: str) -> dict:
 
 
 def _bracket_tensor(entries: list, n: int) -> np.ndarray:
-    """The dense structure tensor of a list of bracket entries: the array of
-    `_accepted`, or else the list read entry by entry (`_entry`), which raises
-    for its first bad entry, or reads it through where the acceptor was stricter."""
-    if (a := _accepted(entries, n)) is None:
-        seen = set()
-        a = np.array([_entry(raw, n, seen) for raw in entries], dtype=float).reshape(-1, 4)
+    """The dense structure tensor of a list of bracket entries, each read by `_entry`."""
+    seen = set()
+    a = np.array([_entry(raw, n, seen) for raw in entries], dtype=float).reshape(-1, 4)
     i, j, k = a[:, :3].T.astype(int) - 1
     c = np.zeros((n, n, n))
     c[i, j, k] = a[:, 3]
@@ -213,30 +212,19 @@ def _bracket_tensor(entries: list, n: int) -> np.ndarray:
     return c
 
 
-def _accepted(entries: list, n: int) -> np.ndarray | None:
-    """The entries as a (count, 4) float array when each rule holds for the
-    whole list, else None: one scan of the types, one conversion, then each
-    rule one boolean.  It rejects a value of exactly the largest float, which
-    `_entry` reads through, and accepts nothing that `_entry` rejects."""
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}
-            and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBERS):
-        return None
-    try:
-        a = np.fromiter(itertools.chain.from_iterable(entries), float, 4 * len(entries))
-    except OverflowError:  # an integer past the float range
-        return None
-    a = a.reshape(-1, 4)
-    idx = a[:, :3]  # < max also rejects an integer past it that rounds down to max
-    valid = ((np.abs(a) < sys.float_info.max).all() and (idx >= 1).all() and (idx <= n).all()
-             and (idx == np.floor(idx)).all() and (idx[:, 0] < idx[:, 1]).all()
-             and len({(i, j, k) for i, j, k, _ in entries}) == len(a))  # 2.0 == 2 in a set
-    return a if valid else None
-
-
 def _entry(raw, n: int, seen: set) -> list:
-    """One bracket entry as [i, j, k, value], each rule checked in order: a list
-    of 4, integer indices, a finite value, indices in 1..n, i < j, and (i, j, k)
-    not in ``seen``, the entries before it, to which it is added."""
+    """One bracket entry as [i, j, k, value], its (i, j, k) added to ``seen``.
+    One plain guard takes an entry with integer indices as it is; any other goes
+    through the rules in order, raising for the first that fails: a list of 4,
+    integer (or integral float) indices, a finite value, indices in 1..n, i < j,
+    and (i, j, k) not in ``seen``, the entries before it."""
+    if type(raw) is list and len(raw) == 4:
+        i, j, k, value = raw
+        if (type(i) is type(j) is type(k) is int and 0 < i < j <= n and 0 < k <= n
+                and type(value) in _NUMBERS and abs(value) <= sys.float_info.max
+                and (i, j, k) not in seen):
+            seen.add((i, j, k))
+            return raw
     what = f"bracket entry {raw!r}"
     if not isinstance(raw, list) or len(raw) != 4:
         raise AlgebraFormatError(f"malformed {what}")

@@ -60,8 +60,9 @@ def certify_soliton(
     -<delta(Ric), c> / <c, c>, the least-squares solution of delta(D) =
     delta(Ric) + lambda c = 0.  delta is taken of c / max|c|, but its sums of
     products of Ric may still overflow when max|c|^2 nears the float range, and
-    the residual max|delta(D)|, of degree 3, before them: a lambda or residual
-    that is not finite raises the range error (`algebra.require_in_range`).
+    the residual max|delta(D)|, of degree 3, before them, and a hint's tr D: one
+    not finite, or a unit |lambda| (of c = 0) below the normal floats, raises
+    the range error (`algebra.require_in_range`).
     Of a stack, the hint is an array with NaN in the rows that have none."""
     axes, stack = (-3, -2, -1), F.c.shape[:-3]
     s = np.max(np.abs(F.c), axis=axes)
@@ -78,9 +79,10 @@ def certify_soliton(
         D = ric - lam[..., None, None] * np.eye(F.dim)
         defect = np.max(np.abs(derivation_defect(u, D)), axis=axes)  # max|delta(D)| / s
         residual = s * defect
-    require_in_range(("lambda", lam), ("residual", residual))
+        trace_D = np.trace(D, axis1=-2, axis2=-1)
+    require_in_range(("lambda", lam), ("residual", residual), ("tr D", trace_D), scale=s, lam=lam)
     unit = np.where(s * s, s * s, abs(lam))
-    return take(SolitonCertificate(lam, D, residual, np.trace(D, axis1=-2, axis2=-1),
+    return take(SolitonCertificate(lam, D, residual, trace_D,
                                    accepted=within(defect, CERT_TOL, unit), degenerate=s == 0,
                                    expanding=lam < 0, scale=unit))
 

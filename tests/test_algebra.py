@@ -159,22 +159,28 @@ def test_parser_matches_its_column_by_column_reference():
     assert seen == {"ok", "malformed", "index", "value", "bracket", "duplicate"}
 
 
-def test_entry_reader_gives_the_accepted_tensor(monkeypatch):
-    # every valid list the acceptor takes whole, read entry by entry instead
-    # once the acceptor rejects every list: the same tensor, signed zeros too
+def test_entry_reader_gives_the_accepted_tensor():
+    # the guard of `_entry` takes exactly the entries of a valid list that
+    # have integer indices, as they are; with each index written as a float
+    # (2 -> 2.0) it takes none, and the ordered rules read the same tensor,
+    # signed zeros too
     rng = np.random.default_rng(22)
-    valid = []
+    valid = 0
     for _ in range(3000):
         n = int(rng.integers(1, 9))
         entries = _fuzzed_entries(rng, n)
-        c, message = _parsed(algebra._bracket_tensor, entries, n)
-        if message is None:
-            valid.append((entries, n, c))
-    monkeypatch.setattr(algebra, "_accepted", lambda entries, n: None)
-    for entries, n, want in valid:
-        c = algebra._bracket_tensor(entries, n)
+        want, message = _parsed(algebra._bracket_tensor, entries, n)
+        if message is not None:
+            continue
+        valid += 1
+        floats = [[float(i), float(j), float(k), value] for i, j, k, value in entries]
+        seen, seen_floats = set(), set()
+        for raw in entries:
+            assert (algebra._entry(raw, n, seen) is raw) == (set(map(type, raw[:3])) == {int})
+        assert not any(algebra._entry(raw, n, seen_floats) is raw for raw in floats)
+        c = algebra._bracket_tensor(floats, n)
         assert np.array_equal(c, want) and np.array_equal(np.signbit(c), np.signbit(want))
-    assert len(valid) > 500
+    assert valid == 1132
 
 
 def test_parse_accepts_integral_float_indices_and_integer_values():

@@ -443,18 +443,42 @@ def test_gaussian_k_at_small_scale(tmp_path, capsys, rng, s):
     assert p.C1 + p.C2 + 0.5 * lam * (p.k - 1) >= -1.0
 
 
+def _same_answer_in_basis(tmp_path, name, P, tol):
+    """Analyze the catalog algebra ``name`` (metric I) written in the basis
+    f_a = sum_i P[i,a] e_i, so c <- PPPc and G = P^T P, each exactly
+    (anti)symmetrized: the catalog file's verdict, lambda, max q and max Ro."""
+    L, n = catalog.load(name), len(P)
+    c = np.einsum("ia,jb,kc,ijk->abc", P, P, P, L.c)
+    G = P.T @ P
+    doc = {"dim": n, "metric": (0.5 * (G + G.T)).tolist(),
+           "brackets": [[i + 1, j + 1, k + 1, 0.5 * (c[i, j, k] - c[j, i, k])]
+                        for i in range(n) for j in range(i + 1, n) for k in range(n)]}
+    got = analyze_file(write_alg(tmp_path, name, doc), extend=True)
+    want = analyze_file(cat(name), extend=True)
+    assert got.verdict == want.verdict == "stable"
+    assert (got.report.max_Ro is None) == (want.report.max_Ro is None)
+    for x, y in ((got.certificate.lam, want.certificate.lam),
+                 (got.report.max_q, want.report.max_q),
+                 (got.report.max_Ro or 0.0, want.report.max_Ro or 0.0)):
+        assert abs(x - y) <= tol * abs(y)
+
+
 @pytest.mark.parametrize("a, b", [(1e-4, 1e-2), (1e3, 1e2)])
 def test_metric_related_by_an_automorphism_gives_the_same_answer(tmp_path, a, b):
     # f1 = a e1, f2 = b e2, f3 = ab e3 is an automorphism-related basis of
     # h3: [f1, f2] = f3, with metric diag(a^2, b^2, (ab)^2), so <[f1,f2],f3> = (ab)^2
-    G = np.diag([a * a, b * b, (a * b) ** 2])
-    doc = {"dim": 3, "brackets": [[1, 2, 3, (a * b) ** 2]], "metric": G.tolist()}
-    got = analyze_file(write_alg(tmp_path, "h3_aut", doc), extend=True)
-    want = analyze_file(cat("heisenberg3"), extend=True)
-    assert got.verdict == want.verdict == "stable"
-    for x, y in ((got.certificate.lam, want.certificate.lam),
-                 (got.report.max_q, want.report.max_q)):
-        assert abs(x - y) <= 1e-12 * abs(y)
+    _same_answer_in_basis(tmp_path, "heisenberg3", np.diag([a, b, a * b]), 1e-12)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "solv4"])
+@pytest.mark.parametrize("kappa", [1e2, 1e4])
+def test_metric_in_an_ill_conditioned_basis_gives_the_same_answer(tmp_path, name, kappa):
+    # P = Q1 diag(logspace(0, log10(kappa)/2)) Q2 makes cond(G) = kappa
+    n = catalog.load(name).dim
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        P = random_orthogonal(rng, n) * np.logspace(0, np.log10(kappa) / 2, n)
+        _same_answer_in_basis(tmp_path, name, P @ random_orthogonal(rng, n), 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -600,6 +624,24 @@ def test_metric_that_takes_the_brackets_out_of_range_is_a_range_error(tmp_path, 
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err == (f"error: {path}: parse stage: bracket tensor is not finite "
                    "(structure constants out of floating-point range)\n")
+
+
+@pytest.mark.parametrize("lam, quantity", [(-1e308, "tr D is not finite"),
+                                           (-1e-320, "|lambda| underflows")])
+def test_hint_at_an_edge_of_the_float_range_is_a_range_error(tmp_path, capsys, lam, quantity):
+    # abelian g takes lambda from the hint: tr D = n|lambda| overflows, or the
+    # unit |lambda| is subnormal, and the extension and k divide by it
+    path = write_alg(tmp_path, "edge", {"dim": 2, "brackets": [], "hints": {"lambda": lam}})
+    line = (f"error: {path}: soliton stage: {quantity} "
+            "(structure constants out of floating-point range)")
+    for argv in (["analyze", "--extend", "--gaussian", "--format", "json"],
+                 ["gaussian"], ["gaussian", "--mode", "sharp"], ["gaussian", "--ignore-stability"],
+                 ["gaussian", "--mode", "sharp", "--ignore-stability"],
+                 ["flow", "--t-max", "0.01", "--trials", "1"]):
+        assert run(capsys, argv[0], path, *argv[1:]) == (EXIT_INPUT_ERROR, "", line + "\n"), argv
+    code, out, err = run(capsys, "table", str(tmp_path))
+    assert (code, err) == (EXIT_STABLE, "")
+    assert re.fullmatch(rf"edge +{re.escape(line)}", out.splitlines()[1])
 
 
 def test_thin_metric_passes_the_ricci_cross_check(tmp_path, capsys):
