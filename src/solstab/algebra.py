@@ -32,6 +32,7 @@ from .errors import AlgebraFormatError, MetricError
 MAX_DIM = 16
 _NUMBERS = frozenset((int, float))  # JSON numbers; bool is a type of its own
 _OUT_OF_RANGE = "structure constants out of floating-point range"
+_HINT_OUT_OF_RANGE = "lambda hint out of floating-point range"
 _TINY = np.finfo(float).tiny  # the least normal float
 
 # Every tolerance of solstab, each relative.  A check accepts a residual r
@@ -58,18 +59,23 @@ def within(residual, tol: float, unit):
         return residual / unit <= tol if unit else residual <= 0
 
 
-def require_in_range(*quantities, scale: float = 0.0, lam: float = 0.0) -> None:
+def require_in_range(*quantities, scale: float = 0.0, lam: float = 0.0, hinted=False) -> None:
     """Raise AlgebraFormatError for the first (name, value) pair, in the order
     given, whose value is not finite, and when the unit is nonzero but below the
     normal floats, where a verdict would read zeros or divide by them: max|c|^2
-    of max|c| = ``scale`` (of a stack, one per row), or |``lam``| where c = 0."""
+    of max|c| = ``scale`` (of a stack, one per row), or |``lam``| where c = 0.
+    The message blames the structure constants, or the lambda hint where a row
+    at fault is ``hinted`` (one whose hint sets the scale of its quantities)."""
+    def fail(message, rows):
+        cause = _HINT_OUT_OF_RANGE if np.any(rows & hinted) else _OUT_OF_RANGE
+        raise AlgebraFormatError(f"{message} ({cause})")
     for quantity, value in quantities:
-        if not np.isfinite(value).all():
-            raise AlgebraFormatError(f"{quantity} is not finite ({_OUT_OF_RANGE})")
+        if not (finite := np.isfinite(value)).all():
+            fail(f"{quantity} is not finite", ~finite)
     if ((scale != 0) & (scale * scale < _TINY)).any():
         raise AlgebraFormatError(f"max|c|^2 underflows ({_OUT_OF_RANGE})")
-    if ((scale == 0) & (lam != 0) & (abs(lam) < _TINY)).any():
-        raise AlgebraFormatError(f"|lambda| underflows ({_OUT_OF_RANGE})")
+    if (rows := (scale == 0) & (lam != 0) & (abs(lam) < _TINY)).any():
+        fail("|lambda| underflows", rows)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ def certify_soliton(
     products of Ric may still overflow when max|c|^2 nears the float range, and
     the residual max|delta(D)|, of degree 3, before them, and a hint's tr D: one
     not finite, or a unit |lambda| (of c = 0) below the normal floats, raises
-    the range error (`algebra.require_in_range`).
+    the range error (`algebra.require_in_range`), which blames a row's hint when
+    |hint| > max|c|^2, the scale of the lambda its structure constants give.
     Of a stack, the hint is an array with NaN in the rows that have none."""
     axes, stack = (-3, -2, -1), F.c.shape[:-3]
     s = np.max(np.abs(F.c), axis=axes)
@@ -80,7 +81,8 @@ def certify_soliton(
         defect = np.max(np.abs(derivation_defect(u, D)), axis=axes)  # max|delta(D)| / s
         residual = s * defect
         trace_D = np.trace(D, axis1=-2, axis2=-1)
-    require_in_range(("lambda", lam), ("residual", residual), ("tr D", trace_D), scale=s, lam=lam)
+    require_in_range(("lambda", lam), ("residual", residual), ("tr D", trace_D), scale=s, lam=lam,
+                     hinted=abs(hint) > s * s)  # False for no hint (NaN)
     unit = np.where(s * s, s * s, abs(lam))
     return take(SolitonCertificate(lam, D, residual, trace_D,
                                    accepted=within(defect, CERT_TOL, unit), degenerate=s == 0,

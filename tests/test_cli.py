@@ -353,7 +353,8 @@ def test_non_soliton_through_every_output(tmp_path, capsys):
 SCALES = (1e-100, 1e-6, 1e-3, 1.0, 1e2, 1e4, 1e6, 1e100)
 # e(2), [e3, e1] = e2 and [e3, e2] = -e1: flat, so a steady soliton with no verdict
 E2 = {"name": "e2", "dim": 3, "brackets": [[1, 3, 2, 1.0], [2, 3, 1, -1.0]]}
-DOCS = {"e2": E2, "not_lie3": NOT_LIE3}
+H7_R = {"dim": 8, "brackets": [[2 * i - 1, 2 * i, 7, 1.0] for i in range(1, 4)]}  # h7 + R
+DOCS = {"e2": E2, "not_lie3": NOT_LIE3, "h7_R": H7_R}
 
 
 @pytest.mark.parametrize("command", ["flow", "gaussian"])
@@ -626,14 +627,27 @@ def test_metric_that_takes_the_brackets_out_of_range_is_a_range_error(tmp_path, 
                    "(structure constants out of floating-point range)\n")
 
 
-@pytest.mark.parametrize("lam, quantity", [(-1e308, "tr D is not finite"),
-                                           (-1e-320, "|lambda| underflows")])
-def test_hint_at_an_edge_of_the_float_range_is_a_range_error(tmp_path, capsys, lam, quantity):
+ABELIAN2 = {"dim": 2, "brackets": []}
+
+
+@pytest.mark.parametrize("doc, lam, quantity, cause", [
+    (ABELIAN2, -1e308, "tr D is not finite", "lambda hint"),
+    (ABELIAN2, -1e-320, "|lambda| underflows", "lambda hint"),
+    (H3, -1e308, "tr D is not finite", "lambda hint"),
+    ({"dim": 3, "brackets": [[1, 2, 3, 100.0]]}, 1e307, "residual is not finite", "lambda hint"),
+    ({"dim": 3, "brackets": [[1, 2, 3, 1e108]]}, -1.5, "residual is not finite",
+     "structure constants"),
+], ids=["-1e+308-tr D is not finite", "-1e-320-|lambda| underflows", "h3--1e+308",
+        "h3x100-1e+307", "h3x1e108--1.5"])
+def test_hint_at_an_edge_of_the_float_range_is_a_range_error(tmp_path, capsys, doc, lam, quantity,
+                                                             cause):
     # abelian g takes lambda from the hint: tr D = n|lambda| overflows, or the
-    # unit |lambda| is subnormal, and the extension and k divide by it
-    path = write_alg(tmp_path, "edge", {"dim": 2, "brackets": [], "hints": {"lambda": lam}})
-    line = (f"error: {path}: soliton stage: {quantity} "
-            "(structure constants out of floating-point range)")
+    # unit |lambda| is subnormal, and the extension and k divide by it.  The
+    # hint takes the blame where |lambda| > max|c|^2 (on h3, tr D = 3|lambda|;
+    # at max|c| = 100 the residual is max|c| |lambda|), not where the residual,
+    # of degree 3 in max|c| = 1e108, overflows whatever the hint
+    path = write_alg(tmp_path, "edge", {**doc, "hints": {"lambda": lam}})
+    line = f"error: {path}: soliton stage: {quantity} ({cause} out of floating-point range)"
     for argv in (["analyze", "--extend", "--gaussian", "--format", "json"],
                  ["gaussian"], ["gaussian", "--mode", "sharp"], ["gaussian", "--ignore-stability"],
                  ["gaussian", "--mode", "sharp", "--ignore-stability"],
@@ -731,6 +745,22 @@ def test_table_stacks_give_the_rows_of_each_file_alone(monkeypatch, tmp_path, ca
     rows = cli.table_rows(middle)
     assert sizes[0] == 3 and rows == [_per_file_row(path) for path in middle]
     assert "Jacobi identity violated" in rows[1][5]
+
+
+def test_table_stacks_at_the_default_size(monkeypatch, tmp_path, rng):
+    # cli.STACK_ENTRIES = 2**17 extension Riemann entries hold 19 dim-8 rows
+    # (2**17 // 9**4), so 20 files run as one full stack and a stack of one
+    for s in np.logspace(-3, 3, 20):
+        _rotated_copy(tmp_path, "h7_R", random_orthogonal(rng, 8), s)
+    paths = sorted(tmp_path.glob("*.alg"))
+    sizes = []
+    analyze = cli._analyze
+    monkeypatch.setattr(cli, "_analyze",
+                        lambda p, *args, **kw: sizes.append(len(p)) or analyze(p, *args, **kw))
+    rows = cli.table_rows(paths)
+    assert sizes == [19, 1]
+    assert rows == [_per_file_row(path) for path in paths]
+    assert all(row[5] in ("✓", "✗", "?") for row in rows)  # a verdict in every row
 
 
 def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):
