@@ -10,9 +10,9 @@ of the Jacobi identity.  The module moves the tensor into an orthonormal
 frame, computes the derivation defect delta and reports structural invariants
 (step, unimodularity).  Der(g) is the null space of delta over the unit
 matrices.  The Jacobiator and delta are matrix products on reshaped views;
-they and the structure profile take a stack of algebras of one dimension
-(`stack`) as well as one.  `take` reads rows, or a masked sub-stack, back out
-of a stacked result, and `rows` reads every row of it at once, field by field.
+they, the frame and the structure profile take a stack of algebras of one
+dimension (`stack`) as well as one.  `take` cuts a masked sub-stack out of a
+stacked result, and `rows`, the one readout, reads its rows as Python values.
 It also holds every tolerance of the package, in one block of relative ones,
 and the one range error (`require_in_range`) of every stage.
 """
@@ -54,9 +54,7 @@ def within(residual, tol: float, unit):
     Dividing first is overflow-safe: an overflowed residual fails against an
     overflowed unit (inf / inf is NaN), and NaN always fails."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(unit, np.ndarray) and unit.ndim:  # one unit per row of a stack
-            return np.where(unit != 0, residual / unit <= tol, residual <= 0)
-        return residual / unit <= tol if unit else residual <= 0
+        return np.where(unit != 0, np.divide(residual, unit) <= tol, np.less_equal(residual, 0))
 
 
 def require_in_range(*quantities, scale: float = 0.0, lam: float = 0.0, hinted=False) -> None:
@@ -107,28 +105,24 @@ class MetricLieAlgebra:
 
 def stack(algebras) -> MetricLieAlgebra:
     """Algebras of one dimension as one, with a leading stack axis on c and the
-    metric, which the kernels take as they take one; a stack of one is itself."""
-    return algebras[0] if len(algebras) == 1 else MetricLieAlgebra(
-        ", ".join(L.name for L in algebras), algebras[0].dim,
-        *map(np.stack, zip(*((L.c, L.metric) for L in algebras))))
+    metric, which the kernels take as they take one; of one algebra too."""
+    return MetricLieAlgebra(", ".join(L.name for L in algebras), algebras[0].dim,
+                            *map(np.stack, zip(*((L.c, L.metric) for L in algebras))))
 
 
-def take(result, index=()):
-    """The rows ``index`` (an integer, or a mask) of a result of a stack: a
-    dataclass, nested ones included, whose arrays carry the stack axis.  A value
-    of ndim 0 comes out a Python scalar, so take(result) of one algebra's
-    result makes its numpy scalars Python ones."""
-    def row(value):
-        if isinstance(value, (np.ndarray, np.generic)):
-            value = value[index]  # of an object array, a Python value
-            return value.item() if getattr(value, "ndim", None) == 0 else value
-        return take(value, index) if is_dataclass(value) else value
-    return type(result)(**{name: row(value) for name, value in vars(result).items()})
+def take(result, mask):
+    """The sub-stack of the rows in ``mask`` of a result of a stack: a
+    dataclass, nested ones included, whose arrays carry the stack axis."""
+    def part(value):
+        if isinstance(value, np.ndarray):
+            return value[mask]
+        return take(value, mask) if is_dataclass(value) else value
+    return type(result)(**{name: part(value) for name, value in vars(result).items()})
 
 
 def rows(result, count: int) -> list:
-    """take(result, r) for each row r < count of a result of a stack, read
-    column-wise: one tolist() or row view per field, not an index per row."""
+    """Each row r < count of a result of a stack, its values Python ones and its
+    arrays row views, read column-wise: one tolist() or row view per field."""
     def column(value):
         if isinstance(value, np.ndarray):
             return value.tolist() if value.ndim == 1 else list(value)
@@ -301,20 +295,20 @@ def orthonormal_frame(L: MetricLieAlgebra) -> MetricLieAlgebra:
     """The same algebra with its structure constants in a G-orthonormal basis.
 
     The basis change comes from the lower-triangular Cholesky factor
-    G = L L^T, with new_a = sum_i (L^{-T})[i, a] old_i; the result has the
-    identity metric and keeps the hints.  An algebra whose metric is
-    already the identity is returned itself.
+    G = L L^T, with new_a = sum_i (L^{-T})[i, a] old_i (of a stack, row by row);
+    the result has the identity metric, of a stack one per row, and keeps the
+    hints.  An algebra whose metric is already the identity is returned itself.
     """
     if _is_identity(L.metric):
         return L
     M = _check_metric(L.metric)
     # <[new_a, new_b], new_c> = sum c[i,j,k] M[i,a] M[j,b] M[k,c]; contract
     # k, then i, then j, as matrix products on (n, n^2) reshapes
-    n = L.dim
+    n, shape, MT = L.dim, L.c.shape, M.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # a curvature-stage range error
-        c = (M.T @ (L.c @ M).reshape(n, n * n)).reshape(n, n, n)
-        c = (M.T @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n)
-    return replace(L, c=c.transpose(1, 0, 2), metric=np.eye(n))
+        c = (MT @ (L.c @ M[..., None, :, :]).reshape(*shape[:-3], n, n * n)).reshape(shape)
+        c = (MT @ c.swapaxes(-3, -2).reshape(*shape[:-3], n, n * n)).reshape(shape)
+    return replace(L, c=c.swapaxes(-3, -2), metric=np.broadcast_to(np.eye(n), L.metric.shape))
 
 
 def derivation_basis(L) -> list[np.ndarray]:
@@ -367,8 +361,8 @@ def structure_profile(L) -> StructureProfile:
     scale = np.max(np.abs(beta), axis=(-3, -2, -1))
     traces = np.einsum("...ikk->...i", beta)  # tr(ad e_i)
     step = _nilpotency_step(beta.reshape(-1, *beta.shape[-3:]), scale.ravel()).reshape(scale.shape)
-    return take(StructureProfile(step=step, nilpotent=step > 0, unimodular=within(
-        np.max(np.abs(traces), axis=-1), ROUND_TOL, scale)))
+    return StructureProfile(step=step, nilpotent=step > 0, unimodular=within(
+        np.max(np.abs(traces), axis=-1), ROUND_TOL, scale))
 
 
 def _nilpotency_step(beta: np.ndarray, scale: np.ndarray) -> np.ndarray:

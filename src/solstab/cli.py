@@ -19,8 +19,8 @@ Every command runs one pipeline on a stack of algebras of one dimension: a
 stack of one for analyze, gaussian and flow, while `table` stacks its files
 by dimension, up to STACK_ENTRIES, and runs a stack that raises again row by
 row, so each error row reads as that file alone would.  Every stage after the
-parse, the profile too, runs once per stack, and the records are read out of
-its results field by field (`algebra.rows`).
+parse, the frame and the profile too, runs once per stack, and `algebra.rows`
+alone reads the records out of its results, a stack of one as any other.
 """
 
 from __future__ import annotations
@@ -88,31 +88,27 @@ def _read(path, timings: dict[str, float]) -> algebra.MetricLieAlgebra:
 
 def _certify(where: str, algebras, timings: dict[str, float]):
     """The stages every command starts with, on a stack of algebras of one
-    dimension from the files ``where``: frames, stack, summary, certificate."""
+    dimension from the files ``where``: stack, frame, summary, certificate."""
     with _stage(timings, "parse", where):
-        algebra.validate_algebra(algebra.stack(algebras))
+        algebra.validate_algebra(L := algebra.stack(algebras))
     with _stage(timings, "curvature", where):
-        frames = [algebra.orthonormal_frame(L) for L in algebras]
-        summary = curvature.curvature_summary(F := algebra.stack(frames))
+        summary = curvature.curvature_summary(F := algebra.orthonormal_frame(L))
     with _stage(timings, "soliton", where):
-        hints = np.array([L.hints.get("lambda") for L in algebras], dtype=float)  # None: NaN
-        cert = soliton.certify_soliton(F, summary, hints.reshape(F.c.shape[:-3]))
-    return frames, F, summary, cert
+        hints = np.array([a.hints.get("lambda") for a in algebras], dtype=float)  # None: NaN
+        cert = soliton.certify_soliton(F, summary, hints)
+    return F, summary, cert
 
 
 def _analyze(paths, algebras, timings: dict[str, float], extend: bool = False,
              gaussian_mode: str | None = None, ignore_stability: bool = False):
     """The analysis pipeline on a stack of algebras of one dimension, one record
     per row; not a soliton, no extension and a tie are masks over the rows."""
-    where = ", ".join(map(str, paths))
-    frames, F, summary, cert = _certify(where, algebras, timings)
+    where, count = ", ".join(map(str, paths)), len(algebras)
+    F, summary, cert = _certify(where, algebras, timings)
     with _stage(timings, "profile", where):
         profile = algebra.structure_profile(F)
-
-    def rows(result, count=len(frames)):  # a stack of one has no stack axis
-        return algebra.rows(result, count) if len(frames) > 1 else [result]
-    certs, reports, plans = rows(cert), [None] * len(frames), [None] * len(frames)
-    if (ok := np.asarray(cert.accepted)).any():
+    certs, reports, plans = algebra.rows(cert, count), [None] * count, [None] * count
+    if (ok := cert.accepted).any():
         with _stage(timings, "stability", where):
             ext = ok & (np.equal(soliton.extension_obstruction(cert), None) if extend else False)
             for mask in (ext, ok & ~ext):  # the rows with an extension, then the rest
@@ -121,17 +117,17 @@ def _analyze(paths, algebras, timings: dict[str, float], extend: bool = False,
                     ext_summary = (soliton.rank_one_extension(part[0], part[2]).summary
                                    if mask is ext else None)
                     report = stability.stability_report(*part, ext_summary)
-                    for r, rep in zip(np.flatnonzero(mask), rows(report, int(mask.sum()))):
+                    for r, rep in zip(np.flatnonzero(mask), algebra.rows(report, int(mask.sum()))):
                         reports[r] = rep
         if gaussian_mode is not None:
             with _stage(timings, "gaussian", where):
-                bases = rows(summary)
+                bases = algebra.rows(summary, count)
                 for r in np.flatnonzero(ok):
                     plans[r] = soliton.gaussian_extension_dimension(
                         bases[r], bases[r].riemann, certs[r], reports[r].max_q,
                         mode=gaussian_mode, ignore_stability=ignore_stability)
-    return [AnalysisRecord(frame.name, *row, timings)
-            for frame, *row in zip(frames, rows(profile), certs, reports, plans)]
+    return [AnalysisRecord(L.name, *row, timings)
+            for L, *row in zip(algebras, algebra.rows(profile, count), certs, reports, plans)]
 
 
 def analyze_file(path, extend: bool = False, gaussian_mode: str | None = None,
@@ -276,7 +272,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    (F,), _, _, cert = _certify(args.path, [_read(args.path, {})], {})
+    F, _, cert = _certify(args.path, [_read(args.path, {})], {})
+    (cert,) = algebra.rows(cert, 1)
     if not cert.accepted:
         return _not_a_soliton(args.path, cert)
     with _stage({}, "flow", args.path):

@@ -45,9 +45,9 @@ class FlowConfig:
         # negated comparisons also reject NaN
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt:g}")
-        if not (0 <= self.t_max < np.inf and self.n_steps >= 1):
-            raise ValueError(f"t_max must be finite and give at least one step of "
-                             f"dt={self.dt:g}, got {self.t_max:g}")
+        if not (0 <= self.t_max / self.dt < np.inf and self.n_steps >= 1):
+            raise ValueError(f"t_max must give a finite number, at least one, of steps "
+                             f"of dt={self.dt:g}, got {self.t_max:g}")
 
     @property
     def n_steps(self) -> int:
@@ -191,6 +191,8 @@ def perturbation_experiment(
         raise ValueError(f"eps must be between 0 and 1e-2, got {eps:g}")
     if n_trials < 1:
         raise ValueError(f"trials must be at least 1, got {n_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     G = np.eye(F.dim) + eps * random_unit_sym(rng, F.dim, n_trials)
     trace = integrate_flow(F, G, cert.lam, cert.derivation, config)

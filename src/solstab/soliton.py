@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CERT_TOL, MetricLieAlgebra, derivation_defect, orthonormal_frame,
-                      require_in_range, take, within)
+                      require_in_range, within)
 from .curvature import CurvatureSummary, RiemannTensor, curvature_summary
 from .errors import EinsteinVerificationFailed, NotExpanding
 
@@ -84,9 +84,8 @@ def certify_soliton(
     require_in_range(("lambda", lam), ("residual", residual), ("tr D", trace_D), scale=s, lam=lam,
                      hinted=abs(hint) > s * s)  # False for no hint (NaN)
     unit = np.where(s * s, s * s, abs(lam))
-    return take(SolitonCertificate(lam, D, residual, trace_D,
-                                   accepted=within(defect, CERT_TOL, unit), degenerate=s == 0,
-                                   expanding=lam < 0, scale=unit))
+    return SolitonCertificate(lam, D, residual, trace_D, accepted=within(defect, CERT_TOL, unit),
+                              degenerate=s == 0, expanding=lam < 0, scale=unit)
 
 
 def solve_algebraic_soliton(
@@ -236,13 +235,14 @@ def gaussian_extension_dimension(
 
     k = 0
     if ignore_stability or not stability_max_q < 0.5 * cert.trace_D:
-        # the real root of the bracket, then stepped with the comparison itself
-        # (monotone in k), so k is exactly the least count that satisfies it
-        k = max(0, int(-2.0 * (C1 + C2 + 1.0) / lam))
-        while C1 + C2 + 0.5 * lam * k >= -1.0:
-            k += 1
-        while k > 0 and C1 + C2 + 0.5 * lam * (k - 1) < -1.0:
-            k -= 1
+        # the least count whose float bracket is below -1, which never rises as k
+        # grows: bisected on integers, as past 2^53 k += 1 can leave float(k) as is
+        lo, k = -1, 1  # a count that fails (or -1), and one that holds
+        while not C1 + C2 + 0.5 * lam * k < -1.0:
+            lo, k = k, min(2 * k, int(np.finfo(float).max))
+        while k - lo > 1:
+            mid = (lo + k) // 2
+            lo, k = (lo, mid) if C1 + C2 + 0.5 * lam * mid < -1.0 else (mid, k)
     return GaussianExtensionPlan(C1, C2, k, mode, bracket_value_at_k=C1 + C2 + 0.5 * lam * k)
 
 

@@ -444,6 +444,32 @@ def test_gaussian_k_at_small_scale(tmp_path, capsys, rng, s):
     assert p.C1 + p.C2 + 0.5 * lam * (p.k - 1) >= -1.0
 
 
+# |lambda| of 1e-24 and less: k passes 2^53, where k += 1 can leave float(k) as is
+HUGE_K = [{"dim": 3, "brackets": [[1, 2, 3, s]]} for s in (1e-12, 1e-20, 1e-40, 1e-80)] + [
+    {"dim": 3, "brackets": [], "hints": {"lambda": lam}}
+    for lam in (-1e-100, -3e-50, -np.finfo(float).tiny)]
+
+
+@pytest.mark.parametrize("doc", HUGE_K, ids=["h3x1e-12", "h3x1e-20", "h3x1e-40", "h3x1e-80",
+                                             "lambda-1e-100", "lambda-3e-50", "lambda-tiny"])
+def test_gaussian_k_past_2_to_the_53_is_the_least_count(tmp_path, capsys, doc):
+    path, ks = write_alg(tmp_path, "huge_k", doc), {}
+    for mode in ("paper", "sharp"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "gaussian", path, "--ignore-stability", "--mode", mode)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (EXIT_STABLE, "")
+        rec = analyze_file(path, gaussian_mode=cli._mode(mode), ignore_stability=True)
+        p, lam = rec.gaussian_plan, rec.certificate.lam
+        assert f"k = {p.k}\n" in out and p.k > 2 ** 53
+        assert p.C1 + p.C2 + 0.5 * lam * p.k < -1.0 <= p.C1 + p.C2 + 0.5 * lam * (p.k - 1)
+        ks[mode] = p.k
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "analyze", path, "--gaussian", "--ignore-stability")
+    assert time.perf_counter() - t0 < 1.0
+    assert err == "" and f" k={ks['paper']} " in out
+
+
 def _same_answer_in_basis(tmp_path, name, P, tol):
     """Analyze the catalog algebra ``name`` (metric I) written in the basis
     f_a = sum_i P[i,a] e_i, so c <- PPPc and G = P^T P, each exactly
@@ -788,9 +814,11 @@ def test_extension_error_names_the_file(monkeypatch, tmp_path, capsys):
         (["--t-max", "0"], "t_max"),
         (["--trials", "0"], "trials"),
         (["--trials", "-1"], "trials"),
+        (["--t-max", "1e300", "--dt", "1e-300"], "t_max"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ],
     ids=["eps-large", "eps-negative", "dt-zero", "t-max-negative", "t-max-no-step",
-         "trials-zero", "trials-negative"],
+         "trials-zero", "trials-negative", "steps-not-finite", "seed-negative"],
 )
 def test_flow_bad_argument_is_input_error(capsys, args, named):
     code, out, err = run(capsys, "flow", cat("heisenberg3"), *args)
@@ -818,6 +846,23 @@ def _count_calls(monkeypatch, *targets):
 
         monkeypatch.setattr(module, attr, counted)
     return tally
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--extend", "--gaussian"], ["gaussian"],
+                                  ["flow", "--t-max", "0.01", "--trials", "2"]],
+                         ids=["analyze", "gaussian", "flow"])
+def test_one_file_runs_as_a_stack_of_one(monkeypatch, capsys, argv):
+    # the frame of one file carries a stack axis of length 1 into the summary;
+    # the extension's summary (of soliton.curvature_summary) is not recorded
+    shapes, summary = [], curvature.curvature_summary
+
+    def recorded(F):
+        shapes.append(F.c.shape)
+        return summary(F)
+    monkeypatch.setattr(curvature, "curvature_summary", recorded)
+    code, _, err = run(capsys, argv[0], cat("heisenberg5"), *argv[1:])
+    assert (code, err) == (EXIT_STABLE, "")
+    assert shapes == [(1, 5, 5, 5)]
 
 
 def test_each_command_certifies_once(monkeypatch, tmp_path, capsys):

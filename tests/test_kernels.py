@@ -317,6 +317,29 @@ def test_stacked_jacobi_finds_each_rows_triple(n):
         assert abs(res[r] - want) <= STACK_TOL * np.max(np.abs(b)) ** 2
 
 
+def under_metric(L, G, s):
+    """L, with bracket coefficients c and metric I, times s under the metric G:
+    <[e_i, e_j], e_k>_G = s sum_m c[i,j,m] G[m,k]."""
+    return replace(L, c=s * L.c @ G, metric=G)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_stacked_frame_matches_each_row_alone(n):
+    # random solvable algebras under random metrics, each at its own scale,
+    # alone and between two rows of metric I: each row is framed as it is alone
+    rng = np.random.default_rng(700 + n)
+    bent = [under_metric(random_solvable(rng, n), G, s)
+            for G, s in zip(random_spd(rng, n, (3,)), (1e-2, 1.0, 1e2))]
+    for rows in (bent, [random_solvable(rng, n), *bent, random_solvable(rng, n)]):
+        F = algebra.orthonormal_frame(algebra.stack(rows))
+        alone = [algebra.orthonormal_frame(L) for L in rows]
+        units = [np.max(np.abs(L.c)) ** 2 for L in alone]
+        assert_rows(F.c, [L.c for L in alone], units, 0.5)
+        assert F.metric.shape == (len(rows), n, n) and (F.metric == np.eye(n)).all()
+        odd = np.arange(len(rows)) % 2 == 1  # the frame of a stack cuts as any result does
+        assert_rows(algebra.take(F, odd).c, [L.c for L in alone[1::2]], units[1::2], 0.5)
+
+
 def test_jacobi_names_each_triple_sorted():
     # the six orders of a triple tie up to rounding, and the one named is
     # sorted: of a stack as of each row alone, and in the check's message
@@ -391,7 +414,8 @@ MIXED_STEPS = [0, 0, 1, 2, 2, 5, 3]  # su2, solv4, abelian, h3, h5, filiform6, f
 def test_stacked_profile_matches_each_row_alone(rows):
     alone = []
     for L in rows:
-        p = algebra.structure_profile(L)  # of one: Python scalars, which JSON takes
+        # read out of a stack of one: Python scalars, which JSON takes
+        (p,) = algebra.rows(algebra.structure_profile(algebra.stack([L])), 1)
         assert (type(p.step), type(p.nilpotent), type(p.unimodular)) == (int, bool, bool)
         json.dumps(asdict(p))
         alone.append((p.step, p.nilpotent, p.unimodular))
@@ -407,11 +431,11 @@ def test_stacked_profile_matches_each_row_alone(rows):
 
 def assert_same_row(got, want):
     """Two rows of a result equal field by field, each of one type: arrays
-    equal, nested dataclasses alike, and scalars equal (NaN to NaN)."""
+    equal, nested dataclasses alike, and scalars equal (NaN to NaN) and Python ones."""
     assert type(got) is type(want)
     for name, value in vars(want).items():
         other = getattr(got, name)
-        assert type(other) is type(value), name
+        assert type(other) is type(value) and not isinstance(value, np.generic), name
         if isinstance(value, np.ndarray):
             assert other.shape == value.shape and np.array_equal(other, value, equal_nan=True), name
         elif is_dataclass(value):
@@ -430,12 +454,14 @@ def test_column_wise_rows_match_take(rows):
                stability.stability_report(F, summary, cert),
                replace(stability.stability_report(F, summary, cert), q_verdict=verdicts,
                        Ro_verdict=verdicts[::-1].copy())]
+    index = np.arange(len(rows))
+    # each row alone (a mask with one True keeps the stack axis), then every other row
+    masks = [index == r for r in index] + [index % 2 == 0]
     for result in results:
         got = algebra.rows(result, len(rows))
         assert len(got) == len(rows)
-        for r, row in enumerate(got):
-            assert_same_row(row, algebra.take(result, r))
-        # a mask with one True keeps the stack axis: a sub-stack of one row
-        for r in range(len(rows)):
-            (row,) = algebra.rows(algebra.take(result, np.arange(len(rows)) == r), 1)
-            assert_same_row(row, algebra.take(result, r))
+        for mask in masks:
+            part = algebra.rows(algebra.take(result, mask), int(mask.sum()))
+            assert len(part) == mask.sum()
+            for r, row in zip(np.flatnonzero(mask), part):
+                assert_same_row(got[r], row)

@@ -236,7 +236,7 @@ def test_gaussian_monotone_under_metric_rescaling():
 
 
 def test_gaussian_k_is_the_least_count(rng):
-    # the closed form must give the k that counting up one at a time finds,
+    # the bisection must give the k that counting up one at a time finds,
     # also where the bracket is -1 up to rounding (values in tenths)
     _, summary, cert = certify("heisenberg3")
     cases = [(c1 / 10, c2 / 10, -m / 10) for c1 in range(10) for c2 in range(10)
@@ -296,8 +296,8 @@ def test_certificate_matches_least_squares_reference(rng):
         ref = soliton.solve_algebraic_soliton(
             F, summary, algebra.derivation_basis(F), lambda_hint=hint
         )
-        assert cert.accepted is ref.accepted, F.name
-        assert cert.degenerate is ref.degenerate, F.name
+        assert cert.accepted == ref.accepted, F.name
+        assert cert.degenerate == ref.degenerate, F.name
         if cert.accepted:
             accepted += 1
             unit = max(abs(ref.lam), float(np.max(np.abs(summary.ric))))
