@@ -4,24 +4,23 @@ An algebra is read from a sparse list of bracket entries (i, j, k, c),
 1-based with i < j, meaning <[e_i, e_j], e_k> = c, together with an inner
 product G on the basis (identity by default), and held as its dense
 structure tensor.  `load_algebra` is the one file reader; each rule of the
-parse has one function: `_entry`, the one reader of every bracket entry,
-`_check_metric` (the one factorization of G) of the metric, `validate_algebra`
-of the Jacobi identity.  The module moves the tensor into an orthonormal
-frame, computes the derivation defect delta and reports structural invariants
-(step, unimodularity).  Der(g) is the null space of delta over the unit
-matrices.  The Jacobiator and delta are matrix products on reshaped views;
-they, the frame and the structure profile take a stack of algebras of one
-dimension (`stack`) as well as one.  `take` cuts a masked sub-stack out of a
-stacked result, and `rows`, the one readout, reads its rows as Python values.
-It also holds every tolerance of the package, in one block of relative ones,
-and the one range error (`require_in_range`) of every stage.
+parse has one function: `_entry`, one ordered pass over a bracket entry's rules,
+`_check_metric` of the metric (it factorizes G, once in each of `parse_algebra`,
+`bracket_tensor` and `orthonormal_frame`), `validate_algebra` of the Jacobi
+identity.  The module frames the tensor, computes the derivation defect delta
+and reports structural invariants (step, unimodularity).  Der(g) is the null
+space of delta over the unit matrices.  The Jacobiator and delta are matrix
+products on reshaped views; they, the frame and the structure profile take a
+stack of algebras of one dimension (`stack`) as well as one.  `take` cuts a
+masked sub-stack out of a stacked result, and `rows`, the one readout, reads
+its rows as Python values.  It holds every tolerance of the package, relative,
+in one block, and the one range error (`require_in_range`) of every stage.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
@@ -34,6 +33,7 @@ _NUMBERS = frozenset((int, float))  # JSON numbers; bool is a type of its own
 _OUT_OF_RANGE = "structure constants out of floating-point range"
 _HINT_OUT_OF_RANGE = "lambda hint out of floating-point range"
 _TINY = np.finfo(float).tiny  # the least normal float
+_HUGE = float(np.finfo(float).max)  # the largest float, as a Python float
 
 # Every tolerance of solstab, each relative.  A check accepts a residual r
 # when within(r, TOL, unit**d).  The unit is max|c|^2 in the basis at hand,
@@ -213,32 +213,28 @@ def _bracket_tensor(entries: list, n: int) -> np.ndarray:
 
 
 def _entry(raw, n: int, seen: set) -> list:
-    """One bracket entry as [i, j, k, value], its (i, j, k) added to ``seen``.
-    One plain guard takes an entry with integer indices as it is; any other goes
-    through the rules in order, raising for the first that fails: a list of 4,
-    integer (or integral float) indices, a finite value, indices in 1..n, i < j,
-    and (i, j, k) not in ``seen``, the entries before it."""
-    if type(raw) is list and len(raw) == 4:
-        i, j, k, value = raw
-        if (type(i) is type(j) is type(k) is int and 0 < i < j <= n and 0 < k <= n
-                and type(value) in _NUMBERS and abs(value) <= sys.float_info.max
-                and (i, j, k) not in seen):
-            seen.add((i, j, k))
-            return raw
-    what = f"bracket entry {raw!r}"
+    """One bracket entry [i, j, k, value], as it is or with integral float indices
+    read as ints.  Its rules run in order, and the first that fails raises: a list
+    of 4, integer indices, a finite value, indices in 1..n, i < j, and (i, j, k)
+    not in ``seen``, the entries before it, which it is then added to."""
     if not isinstance(raw, list) or len(raw) != 4:
-        raise AlgebraFormatError(f"malformed {what}")
-    i, j, k = (_integer(x, f"index in {what}") for x in raw[:3])
-    value = _finite(raw[3], f"value in {what}")
-    for idx in (i, j, k):
-        if idx < 1 or idx > n:
-            raise AlgebraFormatError(f"index out of range in {what}: {idx} not in 1..{n}")
+        raise AlgebraFormatError(f"malformed bracket entry {raw!r}")
+    i, j, k, value = entry = raw
+    if not (type(i) is type(j) is type(k) is int):
+        i, j, k = (_integer(x, f"index in bracket entry {raw!r}") for x in raw[:3])
+        entry = [i, j, k, value]
+    if type(value) not in _NUMBERS or not abs(value) <= _HUGE:  # as `_finite`
+        raise AlgebraFormatError(f"value in bracket entry {raw!r} must be a finite number, "
+                                 f"got {value!r}")
+    if not (0 < i <= n and 0 < j <= n and 0 < k <= n):
+        bad = next(idx for idx in (i, j, k) if not 0 < idx <= n)
+        raise AlgebraFormatError(f"index out of range in bracket entry {raw!r}: {bad} not in 1..{n}")
     if i >= j:
-        raise AlgebraFormatError(f"{what} must have i < j")
-    if (i, j, k) in seen:
+        raise AlgebraFormatError(f"bracket entry {raw!r} must have i < j")
+    if (key := (i, j, k)) in seen:
         raise AlgebraFormatError(f"duplicate bracket entry ({i},{j},{k})")
-    seen.add((i, j, k))
-    return [i, j, k, value]
+    seen.add(key)
+    return entry
 
 
 def _integer(value, what: str) -> int:
@@ -253,7 +249,7 @@ def _integer(value, what: str) -> int:
 def _finite(value, what: str) -> float:
     # the bound also rejects NaN, and integers too large for a float
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
+            or not abs(value) <= _HUGE):
         raise AlgebraFormatError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -394,10 +390,11 @@ def _is_identity(G: np.ndarray) -> bool:  # every metric of a stack
 
 
 def _check_metric(G: np.ndarray) -> np.ndarray:
-    """M = L^{-T} of the Cholesky factor G = L L^T, so G^{-1} = M M^T: the one
-    factorization of a metric, or of a stack of them.  G is positive definite
-    when it and its inverse succeed and the least eigenvalue is > 0."""
-    if not within(np.max(np.abs(G - G.swapaxes(-1, -2))), METRIC_TOL, np.max(np.abs(G))):
+    """M = L^{-T} of the Cholesky factor G = L L^T, so G^{-1} = M M^T, of a
+    metric or of a stack of them, each symmetric in its own unit.  G is positive
+    definite when it and its inverse succeed and the least eigenvalue is > 0."""
+    asymmetry = np.max(np.abs(G - G.swapaxes(-1, -2)), axis=(-2, -1))
+    if not within(asymmetry, METRIC_TOL, np.max(np.abs(G), axis=(-2, -1))).all():
         raise MetricError("metric is not symmetric")
     try:
         M = np.linalg.inv(np.linalg.cholesky(G)).swapaxes(-1, -2)

@@ -273,7 +273,7 @@ def cmd_table(args) -> int:
 
 def cmd_flow(args) -> int:
     F, _, cert = _certify(args.path, [_read(args.path, {})], {})
-    (cert,) = algebra.rows(cert, 1)
+    (F,), (cert,) = algebra.rows(F, 1), algebra.rows(cert, 1)
     if not cert.accepted:
         return _not_a_soliton(args.path, cert)
     with _stage({}, "flow", args.path):
@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="perturbation-decay flow experiment")
     p.add_argument("path")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--t-max", type=float, default=10.0, help="horizon, in units of 1/max|c|^2")
+    p.add_argument("--dt", type=float, default=1e-3, help="RK4 step, in units of 1/max|c|^2")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 

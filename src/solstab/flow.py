@@ -21,7 +21,7 @@ independent perturbation trials run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,9 +179,9 @@ def perturbation_experiment(
     soliton residual with the certificate's D.  Unlike raw metric distance it
     is insensitive to an automorphism phi of g that commutes with D, but not
     to others: Ric(phi^T G phi) = phi^T Ric(G) phi, so phi^T G phi is a
-    soliton with phi^-1 D phi in place of D.  It is of degree 2 in the
-    brackets, so its floors, DECAY_TOL and JITTER_TOL, are in the
-    certificate's unit ``cert.scale``.
+    soliton with phi^-1 D phi in place of D.  It flows c / sqrt(s), lambda / s
+    and D / s, s = ``cert.scale``: times are in units of 1/s and residuals of s,
+    so the floors DECAY_TOL and JITTER_TOL have unit 1, at any bracket scale.
     """
     if not cert.accepted:
         raise ValueError("certificate not accepted")
@@ -195,17 +195,18 @@ def perturbation_experiment(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     G = np.eye(F.dim) + eps * random_unit_sym(rng, F.dim, n_trials)
-    trace = integrate_flow(F, G, cert.lam, cert.derivation, config)
+    scaled = replace(F, c=F.c / np.sqrt(cert.scale))  # max|c| = 1, or lambda = -1 when c = 0
+    trace = integrate_flow(scaled, G, cert.lam / cert.scale, cert.derivation / cert.scale, config)
     residuals = np.array([s[1] for s in trace.samples])
     initial, final = residuals[0], residuals[-1]
     # residuals at integrator precision jitter freely
-    violations = np.sum(~within(residuals[1:] - residuals[:-1], JITTER_TOL, cert.scale), axis=0)
+    violations = np.sum(~within(residuals[1:] - residuals[:-1], JITTER_TOL, 1.0), axis=0)
     return [
         TrialReport(
             trial=i,
             initial_residual=float(initial[i]),
             final_residual=float(final[i]),
-            decayed=bool(final[i] < initial[i] or within(final[i], DECAY_TOL, cert.scale)),
+            decayed=bool(final[i] < initial[i] or within(final[i], DECAY_TOL, 1.0)),
             monotonicity_violations=int(violations[i]),
         )
         for i in range(n_trials)

@@ -1,6 +1,7 @@
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,10 +161,10 @@ def test_parser_matches_its_column_by_column_reference():
 
 
 def test_entry_reader_gives_the_accepted_tensor():
-    # the guard of `_entry` takes exactly the entries of a valid list that
-    # have integer indices, as they are; with each index written as a float
-    # (2 -> 2.0) it takes none, and the ordered rules read the same tensor,
-    # signed zeros too
+    # `_entry` returns exactly the entries of a valid list that have integer
+    # indices as they are; with each index written as a float (2 -> 2.0) it
+    # returns each as a new list of ints, which reads the same tensor, signed
+    # zeros too
     rng = np.random.default_rng(22)
     valid = 0
     for _ in range(3000):
@@ -197,6 +198,18 @@ def test_parse_accepts_integral_float_indices_and_integer_values():
 def test_parse_malformed_json():
     with pytest.raises(AlgebraFormatError, match="malformed"):
         algebra.parse_algebra("{not json")
+
+
+def test_algebra_hints_are_the_parsed_hints():
+    hinted = json.dumps({**json.loads(H3_TEXT), "hints": {"lambda": -1.5, "note": "x"}})
+    assert algebra.algebra_hints(hinted) == {"lambda": -1.5, "note": "x"}
+    for text in [hinted, H3_TEXT, *map(Path.read_text, catalog.catalog_dir().glob("*.alg"))]:
+        assert algebra.algebra_hints(text) == algebra.parse_algebra(text).hints
+
+
+def test_unknown_catalog_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no catalog algebra named 'heisenberg4'"):
+        catalog.load("heisenberg4")
 
 
 def test_parse_rejects_bad_metric():

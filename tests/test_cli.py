@@ -116,6 +116,15 @@ def test_analyze_malformed_json(tmp_path, capsys):
     assert err.count(str(p)) == 1 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+def test_analyze_document_that_is_not_an_object(tmp_path, capsys, text):
+    p = tmp_path / "bad.alg"
+    p.write_text(text)
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "",
+                                f"error: {p}: parse stage: document must be a JSON object\n")
+
+
 def test_analyze_binary_file(tmp_path, capsys):
     p = tmp_path / "bin.alg"
     p.write_bytes(b"\xff\xfe")
@@ -419,13 +428,45 @@ def test_large_metric_with_one_ulp_asymmetry_is_accepted(tmp_path, capsys):
 
 @pytest.mark.parametrize("s", [1.0, 1e2, 1e3, 1e4])
 def test_soliton_at_rest_decays_at_every_scale(tmp_path, capsys, rng, s):
-    # eps = 0 leaves only round-off of order 1e-16 s^2, which the decay floor,
-    # DECAY_TOL s^2, must count as decayed; time runs as 1/s^2
+    # eps = 0 leaves only round-off of order 1e-16 in the certificate's unit,
+    # which the decay floor, DECAY_TOL in that unit, must count as decayed
     path = _rotated_copy(tmp_path, "heisenberg3", random_orthogonal(rng, 3), s)
     code, out, _ = run(capsys, "flow", path, "--eps", "0", "--trials", "3",
-                       "--dt", str(1e-3 / s**2), "--t-max", str(0.1 / s**2))
+                       "--dt", "1e-3", "--t-max", "0.1")
     assert code == EXIT_STABLE
     assert out.count("decayed") == 3 and "NOT decayed" not in out
+
+
+def _flow_trials(capsys, path):
+    """The exit code, the initial residuals and the decayed flags of a short flow."""
+    code, out, err = run(capsys, "flow", path, "--trials", "2", "--t-max", "1", "--dt", "1e-2")
+    assert err == ""
+    trials = [line.split() for line in out.splitlines()]
+    return code, np.array([float(t[3]) for t in trials]), [t[6] == "decayed" for t in trials]
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "solv4"])
+def test_flow_does_not_depend_on_bracket_scale(tmp_path, capsys, rng, name):
+    # the flow runs in the certificate's unit, so a rescaled soliton flows as
+    # it does at s = 1: its initial residuals agree to one unit in the 7th
+    # printed digit, and its exit code and decayed flags are the same
+    Q = random_orthogonal(rng, catalog.load(name).dim)
+    code, initial, decayed = _flow_trials(capsys, _rotated_copy(tmp_path, name, Q, 1.0))
+    assert code == EXIT_STABLE
+    for s in (1e-3, 1e-1, 10.0, 1e3):
+        got = _flow_trials(capsys, _rotated_copy(tmp_path, name, Q, s))
+        assert (got[0], got[2]) == (code, decayed), s
+        assert np.all(abs(got[1] - initial) <= 2e-6 * initial), s
+
+
+def test_flow_of_a_thin_metric_is_the_flow_of_its_frame(tmp_path, capsys):
+    # under diag(1e-200, 1, 1) the frame of h3 has max|c| = 1e100, and its
+    # flow in the certificate's unit is that of the catalog h3
+    path = write_alg(tmp_path, "h3_thin", {**H3, "metric": np.diag([1e-200, 1.0, 1.0]).tolist()})
+    code, initial, decayed = _flow_trials(capsys, cat("heisenberg3"))
+    got = _flow_trials(capsys, path)
+    assert (got[0], got[2]) == (code, decayed) == (EXIT_STABLE, [True, True])
+    assert np.all(abs(got[1] - initial) <= 2e-6 * initial)
 
 
 @pytest.mark.parametrize("s", [1e-3, 1e-6])

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,12 @@ def test_perturbation_experiment_rejects_nonexpanding():
     F, cert = certified("su2")
     with pytest.raises(NotExpanding):
         flow.perturbation_experiment(F, cert, 1e-3, 1, seed=0)
+
+
+def test_perturbation_experiment_rejects_a_certificate_not_accepted():
+    F, cert = certified("heisenberg3")
+    with pytest.raises(ValueError, match="^certificate not accepted$"):
+        flow.perturbation_experiment(F, replace(cert, accepted=False), 1e-3, 1, seed=0)
 
 
 def test_perturbation_experiment_rejects_large_eps():

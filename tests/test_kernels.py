@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, soliton, stability
-from solstab.errors import AlgebraFormatError
+from solstab.errors import AlgebraFormatError, MetricError
 
 from conftest import (conjugate_framed, framed, heisenberg15, random_orthogonal, random_solvable,
                       random_spd)
@@ -338,6 +338,22 @@ def test_stacked_frame_matches_each_row_alone(n):
         assert F.metric.shape == (len(rows), n, n) and (F.metric == np.eye(n)).all()
         odd = np.arange(len(rows)) % 2 == 1  # the frame of a stack cuts as any result does
         assert_rows(algebra.take(F, odd).c, [L.c for L in alone[1::2]], units[1::2], 0.5)
+
+
+def test_stacked_metric_is_symmetric_in_its_own_unit():
+    # B is off symmetry by 1e-10 of its own unit 1, over METRIC_TOL: rejected
+    # alone, and in a stack next to a metric of unit 1000 as well
+    c = catalog.load("heisenberg3").c
+    G = np.eye(3)
+    G[0, 1] = 1e-10
+    A = algebra.MetricLieAlgebra("a", 3, c, 1e3 * np.eye(3))
+    B = algebra.MetricLieAlgebra("b", 3, c, G)
+    for L in (B, algebra.stack([A, B]), algebra.stack([B, A])):
+        with pytest.raises(MetricError, match="^metric is not symmetric$"):
+            algebra.orthonormal_frame(L)
+        with pytest.raises(MetricError, match="^metric is not symmetric$"):
+            L.bracket_tensor
+    assert algebra.orthonormal_frame(algebra.stack([A, A])).metric.shape == (2, 3, 3)
 
 
 def test_jacobi_names_each_triple_sorted():

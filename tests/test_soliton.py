@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solstab import algebra, catalog, curvature, soliton, stability
-from solstab.errors import NotExpanding
+from solstab.errors import EinsteinVerificationFailed, NotExpanding
 
 from conftest import conjugate_framed, framed, random_orthogonal, random_solvable
 from oracles import nilsoliton_identity_residual
@@ -110,6 +110,15 @@ def test_rank_one_extension_rejects_zero_trace():
         soliton.rank_one_extension(F, cert)
 
 
+def test_rank_one_extension_raises_when_the_extension_is_not_einstein(monkeypatch):
+    F, _, cert = certify("heisenberg3")
+    check = soliton.check_einstein
+    monkeypatch.setattr(soliton, "check_einstein",
+                        lambda summary: replace(check(summary), accepted=False))
+    with pytest.raises(EinsteinVerificationFailed, match=r"^extension is not Einstein at lambda=-1\.5"):
+        soliton.rank_one_extension(F, cert)
+
+
 def test_extension_einstein_for_catalog_nilsolitons():
     for name in ("heisenberg3", "heisenberg5"):
         F, _, cert = certify(name)
@@ -212,6 +221,12 @@ def test_gaussian_not_expanding_raises():
         )
 
 
+def test_gaussian_unknown_mode_raises():
+    F, summary, cert = certify("heisenberg3")
+    with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
+        soliton.gaussian_extension_dimension(summary, summary.riemann, cert, 0.0, mode="exact")
+
+
 def test_gaussian_monotone_under_metric_rescaling():
     # shrinking the metric increases |lambda|; k never increases
     import json
@@ -261,6 +276,8 @@ def test_verify_gaussian_product():
     assert r3 <= cert.residual + 1e-12
     assert r0 == pytest.approx(cert.residual, abs=1e-15)
     assert abs(r7 - r0) <= 1e-12  # flat factor contributes exactly zero
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        soliton.verify_gaussian_product(summary, cert, -1)
 
     _, summarya, certa = certify("abelian3", lambda_hint=-1.0)
     assert soliton.verify_gaussian_product(summarya, certa, 5) == 0.0
