@@ -172,7 +172,7 @@ def _fmt_exact(x: float, unit: float) -> str:
 
 
 def _fmt3(x: float) -> str:
-    return f"{round(x, 3):.3f}"  # round-half-even to 3 decimals
+    return f"{round(x, 3) + 0.0:.3f}"  # round-half-even to 3 decimals; -0.0 + 0.0 is 0.0
 
 
 def _fmt_verdict(v: bool | None) -> str:
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="perturbation-decay flow experiment")
     p.add_argument("path")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=10.0, help="horizon, in units of 1/max|c|^2")
+    p.add_argument("--t-max", type=float, default=10.0,
+                   help="run round(t_max/dt) steps of dt, in units of 1/max|c|^2")
     p.add_argument("--dt", type=float, default=1e-3, help="RK4 step, in units of 1/max|c|^2")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -408,6 +408,27 @@ def test_flat_e2_is_inconclusive_at_every_scale(tmp_path, capsys, rng):
             assert (code, out.splitlines()[-1]) == (EXIT_UNSTABLE, "verdict: inconclusive"), s
 
 
+def test_flat_e2_prints_max_q_zero_without_a_sign_in_every_basis(tmp_path, capsys):
+    # max q of e2 is round-off around 0 whose sign depends on the basis
+    c = np.zeros((3, 3, 3))
+    for i, j, k, v in E2["brackets"]:
+        c[i - 1, j - 1, k - 1], c[j - 1, i - 1, k - 1] = v, -v
+    paths = []
+    for seed in range(12):
+        Q = random_orthogonal(np.random.default_rng(seed), 3)
+        c_Q = np.einsum("ia,jb,lk,ijl->abk", Q, Q, Q, c)
+        entries = [[a + 1, b + 1, k + 1, float(c_Q[a, b, k])] for a in range(3)
+                   for b in range(a + 1, 3) for k in range(3) if c_Q[a, b, k] != 0]
+        paths.append(write_alg(tmp_path, f"e2_{seed:02}", {"dim": 3, "brackets": entries}))
+    _, out, _ = run(capsys, "table", str(tmp_path), "--format", "csv")
+    assert [row[4] for row in csv.reader(out.splitlines()[1:])] == ["0.000"] * 12
+    _, out, _ = run(capsys, "table", str(tmp_path))
+    assert [line.split()[4] for line in out.splitlines()[1:]] == ["0.000"] * 12
+    for path in paths:
+        _, out, _ = run(capsys, "analyze", path)
+        assert out.splitlines()[1].split()[4] == "0.000", path
+
+
 def test_small_scale_prints_lambda_and_trace(tmp_path, capsys, rng):
     # h3 at 1e-6: lambda = -1.5e-12 and tr D = 4e-12 are not rounding noise
     path = _rotated_copy(tmp_path, "heisenberg3", random_orthogonal(rng, 3), 1e-6)

@@ -233,6 +233,18 @@ def test_perturbation_experiment_matches_single_integration():
         )
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_perturbation_experiment_reads_out_python_values(eps):
+    F, cert = certified("heisenberg3")
+    config = flow.FlowConfig(dt=1e-2, t_max=1.0, sample_every=10)
+    reports = flow.perturbation_experiment(F, cert, eps, 3, seed=5, config=config)
+    assert [rep.trial for rep in reports] == [0, 1, 2]
+    for rep in reports:
+        assert [type(v) for v in vars(rep).values()] == [int, float, float, bool, int]
+        assert rep.decayed == (rep.final_residual < rep.initial_residual
+                               or rep.final_residual <= algebra.DECAY_TOL)
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "solv4"])
 def test_integrate_flow_stack_equals_single_runs(name):
     F, cert = certified(name)
@@ -241,7 +253,6 @@ def test_integrate_flow_stack_equals_single_runs(name):
     stack = flow.integrate_flow(F, G0, cert.lam, cert.derivation, config)
     for i in range(3):
         single = flow.integrate_flow(F, G0[i], cert.lam, cert.derivation, config)
-        assert all(type(v) is float for s in single.samples for v in s)
         assert [(s[0], *(v[i] for v in s[1:])) for s in stack.samples] == single.samples
         assert np.array_equal(stack.final.G[i], single.final.G)
         assert stack.final.t == single.final.t
